@@ -434,7 +434,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
                 node = dht_nodes[site]
                 if not node.alive:
                     yield from node.rejoin(coordinator_node)
-            donors = [s for s in synced if s != site]
+            donors = [s for s in all_sites if s in synced and s != site]
             if donors:
                 donor = min(
                     donors, key=lambda d: config.topology.rtt_s(d, site)
@@ -563,7 +563,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             elif site not in joined_sites:
                 yield from node.join(coordinator_node)
                 joined_sites.add(site)
-            donors = [s for s in synced if s != site]
+            donors = [s for s in all_sites if s in synced and s != site]
             if donors:
                 donor = min(
                     donors, key=lambda d: config.topology.rtt_s(d, site)
