@@ -13,7 +13,20 @@ do not update the goldens without first understanding which change in
 the fabric/engine altered the event or arithmetic sequence.
 """
 
-from repro.experiments import generate, run_experiment
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.cloud import InterruptionModel
+from repro.controlplane import get_policy
+from repro.experiments import (
+    adaptive_market,
+    chaos_schedule_for,
+    generate,
+    run_experiment,
+    standby_peers_for,
+)
 
 # --- Figure 2: single-site penalty study (A10-2), epochs=3 -------------
 
@@ -123,3 +136,103 @@ def test_repeat_runs_are_deterministic():
     assert [repr(e.wall_s) for e in first.run.epochs] == \
         [repr(e.wall_s) for e in second.run.epochs]
     assert first.run.peak_active_flows == second.run.peak_active_flows
+
+
+# --- Spot, chaos and control-plane paths, epochs=16 ---------------------
+# Crash rejoin with state sync, controller migration, and a spot fleet
+# without faults: the roster paths the clean goldens above never reach.
+
+CHAOS_GOLDEN = {
+    "throughput": "236.8799072645424",
+    "state_syncs": 12,
+    "rounds_retried": 1,
+    "transfers_aborted": 5,
+}
+
+ADAPTIVE_GOLDEN = {
+    "throughput": "142.44256684153584",
+    "decisions": [
+        ("225.1860190028844", 0, "migrate", "aws:us-west/0",
+         "gc:us-west/2", None, "applied"),
+        ("491.57703566955115", 1, "migrate", "aws:us-west/1",
+         "gc:us-west/3", None, "applied"),
+    ],
+    "uptime": {
+        "gc:us-west/0": [("0.0", "3680.697502336213")],
+        "gc:us-west/1": [("0.0", "3680.697502336213")],
+        "aws:us-west/0": [("0.0", "225.1860190028844")],
+        "aws:us-west/1": [("0.0", "491.57703566955115")],
+        "gc:us-west/2": [("225.1860190028844", "3680.697502336213")],
+        "gc:us-west/3": [("491.57703566955115", "3680.697502336213")],
+    },
+}
+
+INTERRUPTION_GOLDEN = {"throughput": "267.4880749863576", "state_syncs": 0}
+
+
+def _chaos_run(epochs=16):
+    schedule = chaos_schedule_for("B-8", seed=2, intensity=4,
+                                  horizon_s=1800)
+    return run_experiment("B-8", "conv", epochs=epochs,
+                          fault_schedule=schedule).run
+
+
+def test_chaos_run_unchanged():
+    run = _chaos_run()
+    assert repr(run.throughput_sps) == CHAOS_GOLDEN["throughput"]
+    assert run.state_syncs == CHAOS_GOLDEN["state_syncs"]
+    assert run.rounds_retried == CHAOS_GOLDEN["rounds_retried"]
+    assert run.transfers_aborted == CHAOS_GOLDEN["transfers_aborted"]
+
+
+def test_adaptive_run_unchanged():
+    run = run_experiment(
+        "D-2", "conv", epochs=16, policy=get_policy("adaptive"),
+        price_models=adaptive_market("D-2"),
+        standby_peers=standby_peers_for("D-2"),
+    ).run
+    assert repr(run.throughput_sps) == ADAPTIVE_GOLDEN["throughput"]
+    assert [
+        (repr(d.time_s), d.epoch, d.kind, d.site, d.target, d.tbs,
+         d.outcome)
+        for d in run.decisions
+    ] == ADAPTIVE_GOLDEN["decisions"]
+    assert {
+        site: [(repr(start), repr(end)) for start, end in intervals]
+        for site, intervals in run.uptime_intervals_by_site.items()
+    } == ADAPTIVE_GOLDEN["uptime"]
+
+
+def test_spot_interruption_run_unchanged():
+    run = run_experiment(
+        "B-8", "conv", epochs=16,
+        interruption_model=InterruptionModel(monthly_rate=0.9),
+    ).run
+    assert repr(run.throughput_sps) == INTERRUPTION_GOLDEN["throughput"]
+    assert run.state_syncs == INTERRUPTION_GOLDEN["state_syncs"]
+
+
+_CHAOS_PROBE = """
+from repro.experiments import chaos_schedule_for, run_experiment
+schedule = chaos_schedule_for("B-8", seed=2, intensity=4, horizon_s=1800)
+run = run_experiment("B-8", "conv", epochs=16, fault_schedule=schedule).run
+print(repr(run.throughput_sps), run.state_syncs,
+      [repr(e.wall_s) for e in run.epochs])
+"""
+
+
+def test_chaos_run_ignores_string_hash_seed():
+    """Set iteration order over site names must never reach results:
+    the same chaos run under two PYTHONHASHSEED values is identical."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", _CHAOS_PROBE], env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
