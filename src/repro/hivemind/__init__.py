@@ -10,12 +10,6 @@ from .matchmaking import (
     matchmaking_delay,
 )
 from .monitor import PROGRESS_KEY, MonitorSample, TrainingMonitor
-from .peer import (
-    AveragingRendezvous,
-    DecentralizedPeer,
-    ProgressBoard,
-    run_decentralized_epochs,
-)
 from .run import (
     EpochStats,
     MetricSample,
@@ -27,11 +21,7 @@ from .run import (
 )
 
 __all__ = [
-    "AveragingRendezvous",
     "AveragingResult",
-    "DecentralizedPeer",
-    "ProgressBoard",
-    "run_decentralized_epochs",
     "CODECS",
     "Contribution",
     "DhtNetwork",

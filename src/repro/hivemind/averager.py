@@ -181,61 +181,8 @@ class MoshpitAverager:
         if not contributions:
             raise ValueError("averaging round needs at least one contribution")
         if self.fault_tolerance is None:
-            return (yield from self._run_round_once(contributions))
+            return (yield from self._attempt_round(contributions))
         return (yield from self._run_round_resilient(contributions))
-
-    def _run_round_once(self, contributions: list[Contribution]):
-        start = self.env.now
-        present = {c.site for c in contributions}
-        groups, hub = self._plan_for(present)
-        stage_times: dict[str, float] = {}
-        tel = self.telemetry
-
-        with tel.span("averaging_round", category="transfer",
-                      track="averager", peers=len(present)):
-            # Stage 1: intra-group reduce-scatter.
-            stage_start = self.env.now
-            with tel.span("reduce_scatter", category="transfer",
-                          track="averager"):
-                yield from self._intra_stage(groups)
-            stage_times["reduce_scatter"] = self.env.now - stage_start
-
-            # Stage 2: hub exchange across groups. Gather and scatter are
-            # pipelined over the full-duplex links (chunks of the reduced
-            # gradient flow back while later chunks still flow in), so both
-            # directions run concurrently.
-            stage_start = self.env.now
-            if len(groups) > 1:
-                with tel.span("hub_exchange", category="transfer",
-                              track="averager"):
-                    yield from self._hub_stage(groups, hub)
-            stage_times["hub_exchange"] = self.env.now - stage_start
-
-            # Stage 3: intra-group all-gather.
-            stage_start = self.env.now
-            with tel.span("all_gather", category="transfer",
-                          track="averager"):
-                yield from self._intra_stage(groups)
-            stage_times["all_gather"] = self.env.now - stage_start
-
-        average = self._numeric_average(contributions)
-        total = sum(c.sample_count for c in contributions)
-        wall = self.env.now - start
-        bytes_sent = self._round_bytes(groups, hub)
-        if tel.enabled:
-            tel.counter("averaging_rounds_total",
-                        "Moshpit averaging rounds completed").inc()
-            tel.histogram("averaging_round_seconds",
-                          "Wall time of each averaging round").observe(wall)
-            tel.counter("averaging_bytes_total",
-                        "Bytes shipped by the averager").inc(bytes_sent)
-        return AveragingResult(
-            average=average,
-            total_samples=total,
-            wall_time_s=wall,
-            stage_times_s=stage_times,
-            bytes_sent=bytes_sent,
-        )
 
     # -- fault-tolerant round ----------------------------------------------
 
@@ -323,15 +270,19 @@ class MoshpitAverager:
             )
 
     def _attempt_round(self, contributions: list[Contribution],
-                       attempt_index: int):
-        """One deadline-bounded attempt; returns an
-        :class:`AveragingResult` or ``None`` when interrupted (in which
-        case all in-flight transfers are aborted on the way out)."""
+                       attempt_index: Optional[int] = None):
+        """The three-stage round body; returns an
+        :class:`AveragingResult`, or ``None`` when interrupted (in which
+        case all in-flight transfers are aborted on the way out).
+
+        The plain round runs it inline; the fault-tolerant round runs
+        each numbered attempt as a deadline-bounded process."""
         env = self.env
         tel = self.telemetry
         start = env.now
         present = {c.site for c in contributions}
         groups, hub = self._plan_for(present)
+        attrs = {} if attempt_index is None else {"attempt": attempt_index}
         stage_times: dict[str, float] = {}
         inflight: list[Event] = []
         # The AllOf the attempt is currently blocked on, boxed so the
@@ -341,8 +292,7 @@ class MoshpitAverager:
         gate: list[Optional[Event]] = [None]
         try:
             with tel.span("averaging_round", category="transfer",
-                          track="averager", peers=len(present),
-                          attempt=attempt_index):
+                          track="averager", peers=len(present), **attrs):
                 stage_start = env.now
                 with tel.span("reduce_scatter", category="transfer",
                               track="averager"):
@@ -469,16 +419,6 @@ class MoshpitAverager:
                 transfers.append(self._send(src, dst, chunk))
                 transfers.append(self._send(dst, src, chunk))
         return transfers
-
-    def _intra_stage(self, groups: list[tuple[str, ...]]):
-        transfers = self._intra_transfers(groups)
-        if transfers:
-            yield self.env.all_of(transfers)
-
-    def _hub_stage(self, groups, hub):
-        transfers = self._hub_transfers(groups, hub)
-        if transfers:
-            yield self.env.all_of(transfers)
 
     def _round_bytes(self, groups, hub) -> float:
         total = 0.0

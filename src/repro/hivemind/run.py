@@ -339,6 +339,152 @@ class _UptimeLedger:
             self.mark_down(site)
 
 
+class _Roster:
+    """Which sites train right now, and the one way in and out of a run.
+
+    A site contributes while its training state is current (``synced``),
+    its VM is up, and the control plane keeps it active. The spot
+    fleet's up/down events, the controller's activate/deactivate
+    callbacks and the averager's liveness probe all go through here. A
+    returning peer first downloads the model state from the nearest live
+    peer (the paper observed this taking up to two hivemind epochs
+    because averaging keeps the network busy).
+    """
+
+    def __init__(self, env: Environment, config: HivemindRunConfig,
+                 sites: list[str], all_sites: list[str], *, tel, fabric,
+                 averager: MoshpitAverager, dht_nodes: dict[str, DhtNode],
+                 fleet: Optional[SpotFleet], uptime: _UptimeLedger,
+                 chaos: bool, sync_bytes: float):
+        self.env = env
+        self.tel = tel
+        self.fabric = fabric
+        self.topology = config.topology
+        self.startup_s = config.startup_s
+        self.averager = averager
+        self.dht_nodes = dht_nodes
+        self.coordinator = dht_nodes[sites[0]]
+        self.uptime = uptime
+        #: Fault-tolerant runs also model the DHT departure and cold
+        #: rejoin of a preempted VM.
+        self.chaos = chaos
+        self.sync_bytes = sync_bytes
+        self.all_sites = all_sites
+        self.synced: set[str] = set(sites)
+        #: Sites the control plane keeps active: every site until a
+        #: controller is attached, then the controller's own set.
+        self.active: set[str] = set(all_sites)
+        self.controller = None
+        #: Sites that completed an initial DHT join (the bootstrap
+        #: covers the starting roster; activated spares join lazily).
+        self.joined: set[str] = set(sites)
+        self._slots = (
+            {slot.site: slot for slot in fleet.slots}
+            if fleet is not None else {}
+        )
+        self.state_syncs = 0
+        #: One-shot event waiters block on when no peer is live; re-armed
+        #: on every wake so each all-dead episode gets a fresh signal.
+        self.rejoined = Event(env)
+
+    def attach(self, controller) -> None:
+        self.controller = controller
+        self.active = controller.active
+
+    def is_up(self, site: str) -> bool:
+        """Whether the site's VM is running (always, without a fleet)."""
+        slot = self._slots.get(site)
+        return slot is None or slot.up
+
+    def live_sites(self) -> list[str]:
+        """Contributing sites, in roster order."""
+        return [site for site in self.all_sites
+                if site in self.synced and site in self.active
+                and self.is_up(site)]
+
+    def preemption_counts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for slot in self._slots.values():
+            loc = location_of(slot.site)
+            counts[loc] = counts.get(loc, 0) + slot.interruptions
+        return counts
+
+    # -- leaving -------------------------------------------------------------
+
+    def _leave(self, site: str) -> None:
+        """The site stops contributing until it syncs again."""
+        self.uptime.mark_down(site)
+        self.synced.discard(site)
+        self.averager.notify_peer_down(site)
+
+    def _leave_dht(self, site: str) -> None:
+        node = self.dht_nodes[site]
+        if node.alive:
+            node.leave()
+
+    def deactivate(self, site: str) -> None:
+        """Controller callback: park an active site."""
+        self._leave(site)
+        self._leave_dht(site)
+
+    def on_fleet_event(self, event) -> None:
+        site = event.site
+        if not event.up:
+            self._leave(site)
+            if self.chaos:
+                self._leave_dht(site)
+        elif self.env.now > 0 and site in self.active:
+            # A rejoin, not the initial boot; sites the controller
+            # deactivated stay parked.
+            self.uptime.mark_up(site)
+            self.env.process(self._rejoin(site))
+
+    # -- joining -------------------------------------------------------------
+
+    def activate(self, site: str) -> None:
+        """Controller callback: boot a parked or spare site."""
+        self.uptime.mark_up(site)
+        self.env.process(self._activate(site))
+
+    def _rejoin(self, site: str):
+        if self.chaos:
+            # The replacement VM rejoins the DHT cold before it can
+            # participate again.
+            node = self.dht_nodes[site]
+            if not node.alive:
+                yield from node.rejoin(self.coordinator)
+        yield from self._sync_from_nearest(site)
+
+    def _activate(self, site: str):
+        yield self.env.timeout(self.startup_s)
+        node = self.dht_nodes[site]
+        if not node.alive:
+            yield from node.rejoin(self.coordinator)
+        elif site not in self.joined:
+            # A spare's first DHT join; only activation reaches it.
+            yield from node.join(self.coordinator)
+            self.joined.add(site)
+        yield from self._sync_from_nearest(site)
+        self.controller.finish_activation(site)
+
+    def _sync_from_nearest(self, site: str):
+        """Download the model state from the nearest synced peer, then
+        mark the site synced and wake anyone waiting for a live peer."""
+        donors = [s for s in self.all_sites if s in self.synced and s != site]
+        if donors:
+            donor = min(donors, key=lambda d: self.topology.rtt_s(d, site))
+            with self.tel.span("state_sync", category="sync", track=site,
+                               donor=donor):
+                yield self.fabric.transfer(donor, site, self.sync_bytes,
+                                           tag="sync")
+            self.state_syncs += 1
+            self.tel.counter("state_syncs_total",
+                             "Model-state downloads after rejoin").inc()
+        self.synced.add(site)
+        rejoined, self.rejoined = self.rejoined, Event(self.env)
+        rejoined.succeed()
+
+
 def run_hivemind(config: HivemindRunConfig) -> RunResult:
     """Simulate a full Hivemind training run; see module docstring."""
     model = get_model(config.model)
@@ -354,9 +500,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
     ft = config.fault_tolerance
     if ft is None and schedule is not None:
         ft = FaultTolerance()
-    #: Chaos mode: the fault-tolerant consumer paths (round deadlines,
-    #: DHT retries, DHT leave/rejoin on preemption) are active.
-    chaos = ft is not None
 
     standby = list(config.standby_peers)
     all_peers = list(config.peers) + standby
@@ -370,10 +513,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         peer.site: get_gpu(peer.gpu).avg_stream_cap_bps
         for peer in all_peers
     }
-    #: Control-plane state; both stay ``None`` on static runs so every
-    #: hot path below keeps its original shape byte for byte.
-    controller = None
-    uptime: Optional[_UptimeLedger] = None
     averager = MoshpitAverager(
         env,
         fabric,
@@ -391,20 +530,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         links = {site: StoreLink(dataset) for site in all_sites}
 
     fleet: Optional[SpotFleet] = None
-    #: Sites whose training state is current; a peer that rejoins after
-    #: an interruption must first download the model state from a live
-    #: peer (the paper observed this taking up to two hivemind epochs
-    #: because averaging keeps the network busy).
-    synced: set[str] = set(sites)
-    state_syncs = [0]
-    #: One-shot event waiters block on when no peer is live; re-armed
-    #: on every wake so each all-dead episode gets a fresh signal.
-    rejoin_signal: list[Event] = [Event(env)]
-
-    def wake_rejoin_waiters() -> None:
-        signal, rejoin_signal[0] = rejoin_signal[0], Event(env)
-        signal.succeed()
-
     #: Crash/zone-outage faults need force-preemptible slots even when
     #: no stochastic interruption model is configured.
     needs_fleet = config.interruption_model is not None or (
@@ -427,62 +552,6 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             zone_of=lambda s: config.topology.get(s).zone,
         )
 
-        def resync(site: str):
-            if chaos:
-                # The replacement VM rejoins the DHT cold before it can
-                # participate again.
-                node = dht_nodes[site]
-                if not node.alive:
-                    yield from node.rejoin(coordinator_node)
-            donors = [s for s in all_sites if s in synced and s != site]
-            if donors:
-                donor = min(
-                    donors, key=lambda d: config.topology.rtt_s(d, site)
-                )
-                with tel.span("state_sync", category="sync", track=site,
-                              donor=donor):
-                    yield fabric.transfer(
-                        donor, site, model.gradient_bytes("fp16"), tag="sync"
-                    )
-                state_syncs[0] += 1
-                tel.counter("state_syncs_total",
-                            "Model-state downloads after rejoin").inc()
-            synced.add(site)
-            wake_rejoin_waiters()
-
-        def on_fleet_event(event):
-            if not event.up:
-                if uptime is not None:
-                    uptime.mark_down(event.site)
-                synced.discard(event.site)
-                if chaos:
-                    averager.notify_peer_down(event.site)
-                    node = dht_nodes.get(event.site)
-                    if node is not None and node.alive:
-                        node.leave()
-            elif env.now > 0:  # a rejoin, not the initial boot
-                # Under a controller, deactivated sites stay parked:
-                # only sites the policy keeps active resync on revival.
-                if controller is None or event.site in controller.active:
-                    if uptime is not None:
-                        uptime.mark_up(event.site)
-                    env.process(resync(event.site))
-
-        fleet.subscribe(on_fleet_event)
-
-    def live_sites() -> list[str]:
-        if controller is None:
-            if fleet is None:
-                return list(sites)
-            return [slot.site for slot in fleet.slots
-                    if slot.up and slot.site in synced]
-        if fleet is None:
-            return [site for site in all_sites
-                    if site in synced and site in controller.active]
-        return [slot.site for slot in fleet.slots
-                if slot.up and slot.site in synced
-                and slot.site in controller.active]
-
     numeric = (
         _NumericState(config.numeric, all_sites, config.seed)
         if config.numeric is not None
@@ -502,12 +571,20 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
     dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
     coordinator_node = dht_nodes[sites[0]]
 
-    if chaos and fleet is not None:
-        fleet_sites = {slot.site for slot in fleet.slots}
-        averager.set_liveness(
-            lambda s: s not in fleet_sites
-            or any(slot.up for slot in fleet.slots if slot.site == s)
-        )
+    # VM uptime windows are only billed (and reported) under a control
+    # plane or time-varying prices; an empty ledger records nothing.
+    billed = config.policy is not None or bool(config.price_models)
+    uptime = _UptimeLedger(env, all_sites if billed else [])
+    for site in sites:
+        uptime.mark_up(site)
+    roster = _Roster(
+        env, config, sites, all_sites, tel=tel, fabric=fabric,
+        averager=averager, dht_nodes=dht_nodes, fleet=fleet, uptime=uptime,
+        chaos=ft is not None, sync_bytes=model.gradient_bytes("fp16"),
+    )
+    if fleet is not None:
+        fleet.subscribe(roster.on_fleet_event)
+    averager.set_liveness(roster.is_up)
 
     injector: Optional[FaultInjector] = None
     if schedule is not None:
@@ -527,64 +604,9 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         )
 
     # -- control plane -----------------------------------------------------
-    if config.policy is not None or config.price_models:
-        uptime = _UptimeLedger(env, all_sites)
-        for site in sites:
-            uptime.mark_up(site)
+    controller = None
     if config.policy is not None:
         from ..controlplane import Controller
-
-        #: Sites that have completed an initial DHT join (the bootstrap
-        #: covers the starting roster; activated spares join lazily).
-        joined_sites = set(sites)
-
-        def preemption_counts() -> dict[str, int]:
-            counts: dict[str, int] = {}
-            if fleet is not None:
-                for slot in fleet.slots:
-                    loc = location_of(slot.site)
-                    counts[loc] = counts.get(loc, 0) + slot.interruptions
-            return counts
-
-        def deactivate_peer(site: str) -> None:
-            if uptime is not None:
-                uptime.mark_down(site)
-            synced.discard(site)
-            node = dht_nodes[site]
-            if node.alive:
-                node.leave()
-            averager.notify_peer_down(site)
-
-        def activate_peer_proc(site: str):
-            yield env.timeout(config.startup_s)
-            node = dht_nodes[site]
-            if not node.alive:
-                yield from node.rejoin(coordinator_node)
-            elif site not in joined_sites:
-                yield from node.join(coordinator_node)
-                joined_sites.add(site)
-            donors = [s for s in all_sites if s in synced and s != site]
-            if donors:
-                donor = min(
-                    donors, key=lambda d: config.topology.rtt_s(d, site)
-                )
-                with tel.span("state_sync", category="sync", track=site,
-                              donor=donor):
-                    yield fabric.transfer(
-                        donor, site, model.gradient_bytes("fp16"),
-                        tag="sync",
-                    )
-                state_syncs[0] += 1
-                tel.counter("state_syncs_total",
-                            "Model-state downloads after rejoin").inc()
-            synced.add(site)
-            controller.finish_activation(site)
-            wake_rejoin_waiters()
-
-        def activate_peer(site: str) -> None:
-            if uptime is not None:
-                uptime.mark_up(site)
-            env.process(activate_peer_proc(site))
 
         flat_prices: dict[str, float] = {}
         for peer in all_peers:
@@ -606,11 +628,12 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
             target_batch_size=config.target_batch_size,
             price_models=config.price_models,
             flat_prices=flat_prices,
-            preemption_counts=preemption_counts,
-            activate=activate_peer,
-            deactivate=deactivate_peer,
+            preemption_counts=roster.preemption_counts,
+            activate=roster.activate,
+            deactivate=roster.deactivate,
             telemetry=tel,
         )
+        roster.attach(controller)
 
     epoch_stats: list[EpochStats] = []
     losses: list[float] = []
@@ -625,7 +648,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
                 yield env.timeout(config.metrics_interval_s)
                 metric_samples.append(MetricSample(
                     time_s=env.now,
-                    live_peers=len(live_sites()),
+                    live_peers=len(roster.live_sites()),
                     epochs_done=len(epoch_stats),
                     samples_applied=sum(e.samples for e in epoch_stats),
                     egress_bytes_total=fabric.meter.total_bytes,
@@ -647,11 +670,11 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         contributed: dict[str, float] = {site: 0.0 for site in all_sites}
         remaining = float(target)
         while remaining > 1e-9:
-            live = live_sites()
+            live = roster.live_sites()
             if not live:
                 # Block until a peer finishes resyncing instead of
-                # polling: the fleet wakes this event on every rejoin.
-                yield rejoin_signal[0]
+                # polling: every completed sync wakes this event.
+                yield roster.rejoined
                 continue
             effective: dict[str, float] = {}
             for site in live:
@@ -695,9 +718,8 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
     def training():
         # Bootstrap the DHT before training starts.
         with tel.span("dht_bootstrap", category="dht", track="epochs"):
-            bootstrap = dht_nodes[sites[0]]
             for site in sites[1:]:
-                yield from dht_nodes[site].join(bootstrap)
+                yield from dht_nodes[site].join(coordinator_node)
         pending_round = None
         pending_sites: list[str] = []
         pending_epoch = -1
@@ -828,20 +850,13 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         metrics_process = env.process(metrics_logger())
     env.run(main)
     duration = env.now
-    if uptime is not None:
-        uptime.close()
+    uptime.close()
     if monitor_process is not None and monitor_process.is_alive:
         monitor_process.interrupt("run finished")
         env.run(monitor_process)
     if metrics_process is not None and metrics_process.is_alive:
         metrics_process.interrupt("run finished")
         env.run(metrics_process)
-
-    if config.overlap_communication:
-        # Fill in per-epoch transfer times measured by the averager.
-        for stats in epoch_stats:
-            if stats.transfer_s == 0.0 and stats.index < len(epoch_stats) - 1:
-                stats.transfer_s = 0.0  # hidden behind the next epoch's calc
 
     if tracing:
         tel.sync_kernel_metrics()
@@ -864,7 +879,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         monitor_samples=len(monitor.samples) if monitor is not None else 0,
         interruptions=fleet.total_interruptions if fleet is not None else 0,
         peak_active_flows=fabric.peak_active_flows,
-        state_syncs=state_syncs[0],
+        state_syncs=roster.state_syncs,
         losses=losses,
         metrics=metric_samples,
         telemetry=tel if tracing else None,
@@ -872,10 +887,9 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         degraded_epochs=sum(1 for e in epoch_stats if e.degraded),
         transfers_aborted=fabric.aborted_flows,
         fault_counts=dict(injector.counts) if injector is not None else {},
-        uptime_intervals_by_site=(
-            {site: list(iv) for site, iv in uptime.intervals.items() if iv}
-            if uptime is not None else {}
-        ),
+        uptime_intervals_by_site={
+            site: list(iv) for site, iv in uptime.intervals.items() if iv
+        },
         decisions=(
             list(controller.decisions) if controller is not None else []
         ),

@@ -83,8 +83,8 @@ class Flow:
     #: Shared-resource ids this flow occupies, resolved once at
     #: creation (the fabric interns the tuple per (src, dst, channels)).
     resource_ids: tuple[str, ...] = ()
-    #: Set by :meth:`Fabric.abort`; admission and the debug generator
-    #: path check it so a flow cancelled mid-propagation never starts.
+    #: Set by :meth:`Fabric.abort`; admission checks it so a flow
+    #: cancelled mid-propagation never starts.
     aborted: bool = False
     # Working state of the progressive-filling pass (_assign_rates).
     _fill_headroom: float = field(default=0.0, init=False, repr=False)
@@ -318,15 +318,9 @@ class Fabric:
             )
         env = self.env
         tel = env._telemetry
-        if tel is not None and tel.capture_processes:
-            # Debug mode: keep the generator process so each flow shows
-            # up as a span on the ``sim:processes`` track.
-            env.process(self._run_flow(flow, propagation=propagation))
-            return done
-        # Fast path: admit the flow via a bare timer callback — same
-        # simulated times and the same logical process tally, but no
-        # generator, no ``_Initialize`` event, and no process-completion
-        # event per flow.
+        # Admit the flow via a bare timer callback: no generator, no
+        # ``_Initialize`` event and no process-completion event per
+        # flow, but each flow still counts as one logical process.
         if tel is not None:
             tel.processes_spawned += 1
         if propagation > 0:
@@ -400,9 +394,8 @@ class Fabric:
         self.aborted_flows += 1
         self._aborts_counter.inc()
         tel = self.env._telemetry
-        if tel is not None and not tel.capture_processes:
-            # Close out the fast admission path's logical flow process
-            # (the generator path tallies via the Process class).
+        if tel is not None:
+            # Close out the flow's logical process.
             tel.processes_finished += 1
         done.fail(TransferAborted(flow, reason))
         done.defused = True
@@ -449,14 +442,13 @@ class Fabric:
             if flow.span is not None:
                 self._tracer.finish(flow.span)
         tel = self.env._telemetry
-        if tel is not None and not tel.capture_processes:
-            # Close out the logical flow process of the fast admission
-            # path (the generator path tallies via the Process class).
+        if tel is not None:
+            # Close out the flow's logical process.
             tel.processes_finished += 1
         flow.done.succeed(flow)
 
     def _admit_flow(self, flow: Flow) -> None:
-        """Fast-path flow admission after propagation delay."""
+        """Flow admission after propagation delay."""
         if flow.aborted:
             return
         if flow.remaining_bytes <= 0:
@@ -465,22 +457,6 @@ class Fabric:
         self._advance_clock()
         self._register_flow(flow)
         self._mark_dirty()
-
-    def _run_flow(self, flow: Flow, propagation: float):
-        if propagation > 0:
-            yield self.env.timeout(propagation)
-        if flow.aborted:
-            return
-        if flow.remaining_bytes <= 0:
-            self._finish_flow(flow)
-            return
-        self._advance_clock()
-        self._register_flow(flow)
-        self._mark_dirty()
-        try:
-            yield flow.done
-        except TransferAborted:
-            return
 
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""

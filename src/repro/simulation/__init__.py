@@ -10,20 +10,16 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.network import Fabric, GBPS, Site, Topology
 from repro.simulation import Environment
+from repro.telemetry import Telemetry
 
 
 def two_site_topology(nic_bps=1 * GBPS, window=64e6, rtt=None):
@@ -239,3 +240,25 @@ def test_negative_jitter_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         Fabric(env, topo, jitter=-0.1)
+
+
+@pytest.mark.parametrize("capture_processes", [False, True])
+def test_flows_close_their_processes(capture_processes):
+    """Every admitted flow is one logical process, finished whether it
+    delivers or is aborted — with or without per-process capture."""
+    topo = two_site_topology()
+    tel = Telemetry(capture_processes=capture_processes)
+    env = Environment(telemetry=tel)
+    fabric = Fabric(env, topo, telemetry=tel)
+    completed = fabric.transfer("a", "b", 125e6)
+    aborted = fabric.transfer("a", "c", 125e6)
+
+    def cancel():
+        yield env.timeout(0.5)
+        assert fabric.abort(aborted)
+
+    env.process(cancel())
+    env.run(completed)
+    assert fabric.aborted_flows == 1
+    assert tel.processes_spawned == tel.processes_finished == 3
+    assert tel.processes_failed == 0
