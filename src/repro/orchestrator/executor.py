@@ -43,14 +43,21 @@ def default_worker_count(jobs: int) -> int:
 
 
 def _force_shutdown(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on stuck workers."""
+    """Tear a pool down without waiting on stuck workers.
+
+    The worker handles are read before ``shutdown``, which drops the
+    pool's reference to them. Killed workers are joined so none
+    outlives the call.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.kill()
         except (OSError, AttributeError):  # already gone
             pass
+    for process in processes:
+        process.join()
 
 
 def _infra_failure(kind: str, message: str, error_type: str,

@@ -317,6 +317,13 @@ def _slow_echo_worker(wire):
     return {"ok": True, "record": wire}
 
 
+def _pid_then_sleep_worker(wire):
+    with open(wire["pid_file"], "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(30)
+    return {"ok": True, "record": wire}
+
+
 def _dying_worker(wire):
     os._exit(3)
 
@@ -344,6 +351,20 @@ class TestExecutor:
         assert failure["kind"] == "timeout"
         assert failure["error_type"] == "TimeoutError"
         assert failure["attempts"] == 1
+
+    def test_timed_out_worker_is_killed(self, tmp_path):
+        pid_file = tmp_path / "worker.pid"
+        [outcome] = run_wire_jobs([{"pid_file": str(pid_file)}],
+                                  max_workers=1,
+                                  worker=_pid_then_sleep_worker,
+                                  timeout_s=1.0, retries=0)
+        assert outcome["failure"]["kind"] == "timeout"
+        stat = f"/proc/{int(pid_file.read_text())}/stat"
+        if os.path.exists(stat):
+            with open(stat) as handle:
+                # The state field follows the parenthesised command name.
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+            assert state == "Z"
 
     def test_broken_pool_retries_then_fails(self):
         outcomes = run_wire_jobs([{"i": 0}], max_workers=1,
