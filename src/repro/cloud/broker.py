@@ -19,7 +19,7 @@ import numpy as np
 from ..simulation import Environment
 from .instances import InstanceType
 from .spot import InterruptionModel
-from .spot_market import SpotPriceModel
+from .spot_market import SpotPriceModel, integrate_price_usd
 
 __all__ = ["ZoneOffer", "BrokeredFleet", "Placement"]
 
@@ -122,11 +122,8 @@ class BrokeredFleet:
         """Bill an interval at the hourly-varying spot price."""
         if end_s <= start_s:
             return
-        t = start_s
-        while t < end_s:
-            step = min(3600.0, end_s - t)
-            self.cost_usd += offer.price_model.price_at(t) * step / 3600.0
-            t += step
+        self.cost_usd += integrate_price_usd(offer.price_model,
+                                             [(start_s, end_s)])
         self.vm_seconds += end_s - start_s
 
     def _note_preemption(self, location: str) -> str:

@@ -68,9 +68,10 @@ def integrate_price_usd(
 ) -> float:
     """Dollars billed at the hourly spot price over uptime ``intervals``.
 
-    Billing follows the broker's accrual convention: the price is
-    sampled at the start of each (possibly partial) ``step_s`` billing
-    step, matching "spot prices change hourly" (Section 2.2). The
+    The price is sampled at the start of each (possibly partial)
+    ``step_s`` billing step, matching "spot prices change hourly"
+    (Section 2.2). This is the one billing loop: run cost reports and
+    :class:`~repro.cloud.BrokeredFleet` both accrue through it. The
     integral is a pure function of the model and the intervals, so
     identically-seeded runs bill identically.
     """
