@@ -7,7 +7,7 @@ Usage::
     repro run table3 --epochs 5     # more averaging epochs
     repro run fig07 --format csv    # machine-readable output
     repro run all                   # everything (slow)
-    repro figures fig05 --jobs 4    # same, prefetching runs in parallel
+    repro figures fig05 --jobs 4    # same, running its points in parallel
     repro run adaptive --policy adaptive  # static vs adaptive control
     repro control                   # list control-plane policies
     repro advise conv gc:us=8       # planner advice for a setup
@@ -480,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
                      default="text")
     run.add_argument("--output", help="write to a file instead of stdout")
     run.add_argument("--jobs", type=int, default=1,
-                     help="prefetch the report's runs on this many "
+                     help="run each report's points on this many "
                           "worker processes (output is identical)")
     run.add_argument("--cache-dir",
                      help="persist run results in this content-addressed "

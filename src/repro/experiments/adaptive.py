@@ -9,23 +9,23 @@ spot price) plus per-location diurnal price models, so the controller
 has both a reason to move (price ratios, Table 1) and somewhere to
 move to.
 
-Both arms execute through the ambient orchestrator: the policy (or its
-absence) is part of the run fingerprint, so static and adaptive results
-occupy distinct cache entries and replays stay byte-identical.
+Both arms of every setup execute as one batch on the ambient
+orchestrator: the policy (or its absence) is part of the run
+fingerprint, so static and adaptive results occupy distinct cache
+entries and replays stay byte-identical.
 """
 
 from __future__ import annotations
 
 from ..controlplane import default_price_models, get_policy
 from ..hivemind import PeerSpec
-from ..orchestrator import ExperimentJob, Job
+from ..orchestrator import ExperimentJob
 from .configs import get_spec
-from .figures import Report, _experiment
+from .figures import Report, _results
 
 __all__ = [
     "DEFAULT_ADAPTIVE_SETUPS",
     "adaptive_market",
-    "adaptive_points",
     "adaptive_report",
     "standby_peers_for",
 ]
@@ -70,18 +70,21 @@ def adaptive_report(epochs: int = 3, *, keys=DEFAULT_ADAPTIVE_SETUPS,
                     policy: str = "adaptive") -> Report:
     """Static-vs-adaptive comparison over geo and multi-cloud setups."""
     pol = get_policy(policy)
+    jobs = []
+    for key in keys:
+        market = adaptive_market(key)
+        jobs += [
+            ExperimentJob.make(key, model, epochs=epochs,
+                               price_models=market),
+            ExperimentJob.make(key, model, epochs=epochs,
+                               price_models=market, policy=pol,
+                               standby_peers=standby_peers_for(key)),
+        ]
+    results = iter(_results(jobs))
     rows = []
     notes = []
     for key in keys:
-        market = adaptive_market(key)
-        arms = {
-            "static": _experiment(key, model, epochs=epochs,
-                                  price_models=market),
-            policy: _experiment(
-                key, model, epochs=epochs, price_models=market,
-                policy=pol, standby_peers=standby_peers_for(key),
-            ),
-        }
+        arms = {"static": next(results), policy: next(results)}
         for mode, result in arms.items():
             run = result.run
             actions = run.control_actions if run is not None else {}
@@ -116,19 +119,3 @@ def adaptive_report(epochs: int = 3, *, keys=DEFAULT_ADAPTIVE_SETUPS,
         notes=notes,
     )
 
-
-def adaptive_points(epochs: int, *, keys=DEFAULT_ADAPTIVE_SETUPS,
-                    model: str = "conv",
-                    policy: str = "adaptive") -> list[Job]:
-    """Prefetchable job list mirroring :func:`adaptive_report`."""
-    pol = get_policy(policy)
-    jobs: list[Job] = []
-    for key in keys:
-        market = adaptive_market(key)
-        jobs.append(ExperimentJob.make(key, model, epochs=epochs,
-                                       price_models=market))
-        jobs.append(ExperimentJob.make(
-            key, model, epochs=epochs, price_models=market,
-            policy=pol, standby_peers=standby_peers_for(key),
-        ))
-    return jobs

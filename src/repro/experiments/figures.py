@@ -9,12 +9,13 @@ crossovers fall).
 All generators accept an ``epochs`` knob: more epochs average out the
 matchmaking jitter, fewer keep the benchmarks fast.
 
-Runs execute through the ambient :class:`~repro.orchestrator.
-Orchestrator` (see :func:`_experiment` / :func:`_baseline`), so
-:func:`generate` can serve repeated points from the run cache and —
-because :data:`REPORT_POINTS` knows each figure's full point list up
-front — prefetch them on a process pool with ``jobs > 1`` while the
-row-building loops stay simple and serial.
+Each report body lists its run points once, as orchestrator jobs, and
+gets every result from one batch on the ambient :class:`~repro.
+orchestrator.Orchestrator` (see :func:`_results`). The batch serves
+repeated points from the memo and the run cache and executes the misses
+on a process pool when the orchestrator has ``jobs > 1``, inline
+otherwise; the row loops then read the results in order, so the output
+is the same either way.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ..orchestrator import (
     BaselineJob,
     ExperimentJob,
     Job,
+    JobFailure,
     Orchestrator,
     RunCache,
     current_orchestrator,
@@ -44,20 +46,33 @@ from ..orchestrator import (
 from .configs import get_spec
 from .runner import ExperimentResult
 
-__all__ = ["Report", "REPORTS", "REPORT_POINTS", "generate", "render",
-           "report_keys"]
+__all__ = ["Report", "REPORTS", "generate", "render", "report_keys"]
 
 _ALL_SUITABILITY_MODELS = list(CV_KEYS + NLP_KEYS)
+#: Model per task, with the task label the figures print.
+_TASKS = {"conv": "CV", "rxlm": "NLP"}
 
 
-def _experiment(key: str, model: str, **kwargs) -> ExperimentResult:
-    """``run_experiment`` by way of the ambient orchestrator."""
-    return current_orchestrator().experiment(key, model, **kwargs)
+def _results(jobs: list[Job],
+             expected: "type[Exception] | None" = None) -> list:
+    """The results of ``jobs``, in order, from one ambient batch.
 
-
-def _baseline(name: str, model: str, spot: bool = True) -> ExperimentResult:
-    """``centralized_baseline`` by way of the ambient orchestrator."""
-    return current_orchestrator().baseline(name, model, spot=spot)
+    A job that failed with the ``expected`` exception type comes back as
+    its :class:`JobFailure`. Any other failure is raised: the job runs
+    once more through :meth:`Orchestrator.run`, which raises the
+    original exception.
+    """
+    orchestrator = current_orchestrator()
+    results = []
+    for outcome in orchestrator.map(jobs):
+        if outcome.ok:
+            results.append(outcome.result)
+        elif (expected is not None
+              and outcome.failure.error_type == expected.__name__):
+            results.append(outcome.failure)
+        else:
+            results.append(orchestrator.run(outcome.job))
+    return results
 
 
 @dataclass
@@ -138,14 +153,17 @@ def _cost_throughput(model: str, distributed: list[tuple[str, int]],
     """
     from ..core import cost_report
 
+    jobs: list[Job] = [BaselineJob(name, model) for name in baselines]
+    jobs += [ExperimentJob.make(key, model, target_batch_size=tbs,
+                                epochs=epochs)
+             for key, tbs in distributed]
+    results = _results(jobs, expected=UnsupportedConfiguration)
     rows = []
-    for name in baselines:
-        try:
-            result = _baseline(name, model)
-        except UnsupportedConfiguration as error:  # 4xT4 OOM for NLP
+    for name, result in zip(baselines, results):
+        if isinstance(result, JobFailure):  # 4xT4 OOM for NLP
             rows.append({"setup": name, "sps": None, "usd_per_h": None,
                          "usd_per_1m": None, "usd_per_1m_metered": None,
-                         "kind": f"unavailable ({error})"})
+                         "kind": f"unavailable ({result.error})"})
             continue
         rows.append({
             "setup": name,
@@ -155,9 +173,7 @@ def _cost_throughput(model: str, distributed: list[tuple[str, int]],
             "usd_per_1m_metered": round(result.usd_per_million_samples, 2),
             "kind": "centralized",
         })
-    for key, tbs in distributed:
-        result = _experiment(key, model, target_batch_size=tbs,
-                             epochs=epochs)
+    for result in results[len(baselines):]:
         report = cost_report(result.run)
         vm_per_1m = cost_per_million_samples(result.throughput_sps,
                                              report.hourly_vm)
@@ -165,7 +181,7 @@ def _cost_throughput(model: str, distributed: list[tuple[str, int]],
             result.throughput_sps, report.hourly_vm + report.hourly_egress
         )
         rows.append({
-            "setup": key,
+            "setup": result.key,
             "sps": round(result.throughput_sps, 1),
             "usd_per_h": round(report.hourly_vm, 3),
             "usd_per_1m": round(vm_per_1m, 2),
@@ -222,10 +238,11 @@ def figure17(epochs: int = 3) -> Report:
 # --------------------------------------------------------------------------
 
 def figure2(epochs: int = 3) -> Report:
+    jobs = [ExperimentJob.make("A10-2", model_key, epochs=epochs)
+            for model_key in _ALL_SUITABILITY_MODELS]
     rows = []
-    for model_key in _ALL_SUITABILITY_MODELS:
-        result = _experiment("A10-2", model_key, epochs=epochs)
-        model = get_model(model_key)
+    for result in _results(jobs):
+        model = get_model(result.model)
         n = result.num_gpus
         baseline = result.baseline_sps
         local_norm = result.local_throughput_sps / n / baseline
@@ -247,21 +264,28 @@ def figure2(epochs: int = 3) -> Report:
 # Figures 3 & 4 — TBS sweeps on 2xA10
 # --------------------------------------------------------------------------
 
+def _tbs_sweep(model_key: str, epochs: int) -> list[Job]:
+    return [ExperimentJob.make("A10-2", model_key, target_batch_size=tbs,
+                               epochs=epochs)
+            for tbs in (8192, 16384, 32768)]
+
+
 def figure3(epochs: int = 3) -> Report:
-    rows = []
+    jobs: list[Job] = []
     for model_key in _ALL_SUITABILITY_MODELS:
-        baseline = _baseline(
-            "1xA10", model_key
-        ).throughput_sps
-        for tbs in (8192, 16384, 32768):
-            result = _experiment("A10-2", model_key,
-                                 target_batch_size=tbs, epochs=epochs)
-            rows.append({
-                "model": model_key,
-                "tbs": tbs,
-                "baseline_sps": round(baseline, 1),
-                "hivemind_2gpu_sps": round(result.throughput_sps, 1),
-            })
+        jobs += [BaselineJob("1xA10", model_key),
+                 *_tbs_sweep(model_key, epochs)]
+    rows = []
+    for job, result in zip(jobs, _results(jobs)):
+        if isinstance(job, BaselineJob):
+            baseline = result.throughput_sps
+            continue
+        rows.append({
+            "model": result.model,
+            "tbs": result.target_batch_size,
+            "baseline_sps": round(baseline, 1),
+            "hivemind_2gpu_sps": round(result.throughput_sps, 1),
+        })
     return Report(
         "fig03", "Single-GPU baseline vs 2xA10 Hivemind across TBS", rows,
         notes=["paper: doubling the TBS halves per-sample communication "
@@ -270,18 +294,17 @@ def figure3(epochs: int = 3) -> Report:
 
 
 def figure4(epochs: int = 3) -> Report:
+    jobs = [job for model_key in _ALL_SUITABILITY_MODELS
+            for job in _tbs_sweep(model_key, epochs)]
     rows = []
-    for model_key in _ALL_SUITABILITY_MODELS:
-        for tbs in (8192, 16384, 32768):
-            result = _experiment("A10-2", model_key,
-                                 target_batch_size=tbs, epochs=epochs)
-            rows.append({
-                "model": model_key,
-                "tbs": tbs,
-                "calc_s": round(result.calc_s, 1),
-                "comm_s": round(result.matchmaking_s + result.transfer_s, 1),
-                "granularity": round(result.granularity, 2),
-            })
+    for result in _results(jobs):
+        rows.append({
+            "model": result.model,
+            "tbs": result.target_batch_size,
+            "calc_s": round(result.calc_s, 1),
+            "comm_s": round(result.matchmaking_s + result.transfer_s, 1),
+            "granularity": round(result.granularity, 2),
+        })
     return Report(
         "fig04", "TBS vs training time split on 2xA10 (granularity)", rows,
         notes=["paper: at TBS 32K granularity spans 4.2 (RXLM) to 21.6 "
@@ -294,16 +317,12 @@ def figure4(epochs: int = 3) -> Report:
 # --------------------------------------------------------------------------
 
 def _a10_scaling(epochs: int) -> list[ExperimentResult]:
-    results = []
+    jobs: list[Job] = []
     for model_key in _ALL_SUITABILITY_MODELS:
-        for n in (1, 2, 3, 4, 8):
-            if n == 1:
-                results.append(_baseline("1xA10", model_key))
-            else:
-                results.append(
-                    _experiment(f"A10-{n}", model_key, epochs=epochs)
-                )
-    return results
+        jobs.append(BaselineJob("1xA10", model_key))
+        jobs += [ExperimentJob.make(f"A10-{n}", model_key, epochs=epochs)
+                 for n in (2, 3, 4, 8)]
+    return _results(jobs)
 
 
 def figure5(epochs: int = 3) -> Report:
@@ -363,21 +382,22 @@ def table2(epochs: int = 0) -> Report:
 
 def _geo_figure(keys: list[str], fig_key: str, title: str, notes: list[str],
                 epochs: int) -> Report:
+    points = [(model_key, key) for model_key in _TASKS for key in keys]
+    jobs: list[Job] = [
+        BaselineJob("1xT4", model_key) if key == "A-1"
+        else ExperimentJob.make(key, model_key, epochs=epochs)
+        for model_key, key in points
+    ]
     rows = []
-    for model_key, label in (("conv", "CV"), ("rxlm", "NLP")):
-        for key in keys:
-            if key == "A-1":
-                result = _baseline("1xT4", model_key)
-            else:
-                result = _experiment(key, model_key, epochs=epochs)
-            rows.append({
-                "task": label,
-                "experiment": key,
-                "sps": round(result.throughput_sps, 1),
-                "granularity": round(result.granularity, 2)
-                if result.granularity != float("inf") else None,
-                "speedup": round(result.speedup, 2) if result.speedup else 1.0,
-            })
+    for (model_key, key), result in zip(points, _results(jobs)):
+        rows.append({
+            "task": _TASKS[model_key],
+            "experiment": key,
+            "sps": round(result.throughput_sps, 1),
+            "granularity": round(result.granularity, 2)
+            if result.granularity != float("inf") else None,
+            "speedup": round(result.speedup, 2) if result.speedup else 1.0,
+        })
     return Report(fig_key, title, rows, notes)
 
 
@@ -469,16 +489,16 @@ def table5(epochs: int = 0) -> Report:
 # --------------------------------------------------------------------------
 
 def figure10(epochs: int = 3) -> Report:
+    jobs = [ExperimentJob.make(key, model_key, epochs=epochs)
+            for model_key in _TASKS for key in ("D-1", "D-2", "D-3")]
     rows = []
-    for model_key, label in (("conv", "CV"), ("rxlm", "NLP")):
-        for key in ("D-1", "D-2", "D-3"):
-            result = _experiment(key, model_key, epochs=epochs)
-            rows.append({
-                "task": label,
-                "experiment": key,
-                "sps": round(result.throughput_sps, 1),
-                "granularity": round(result.granularity, 2),
-            })
+    for result in _results(jobs):
+        rows.append({
+            "task": _TASKS[result.model],
+            "experiment": result.key,
+            "sps": round(result.throughput_sps, 1),
+            "granularity": round(result.granularity, 2),
+        })
     return Report(
         "fig10", "Multi-cloud performance for CV and NLP", rows,
         notes=["paper: no inter-cloud throughput penalty; D-3 (Azure) "
@@ -487,39 +507,41 @@ def figure10(epochs: int = 3) -> Report:
 
 
 def figure11(epochs: int = 3) -> Report:
-    rows = []
-    # (a) Per-VM hourly cost breakdown for the D experiments.
     from ..core import cost_report
 
-    for model_key, label in (("conv", "CV"), ("rxlm", "NLP")):
-        for key in ("D-2", "D-3"):
-            result = _experiment(key, model_key, epochs=epochs)
-            report = cost_report(result.run)
-            by_provider: dict[str, list] = {}
-            for vm in report.vms:
-                provider = vm.site.split(":", 1)[0]
-                by_provider.setdefault(provider, []).append(vm)
-            for provider, vms in by_provider.items():
-                count = len(vms)
-                rows.append({
-                    "part": "a",
-                    "task": label,
-                    "experiment": key,
-                    "provider": provider,
-                    "vm_usd_h": round(sum(v.instance_per_h for v in vms)
-                                      / count, 3),
-                    "internal_egress_usd_h": round(
-                        sum(v.internal_egress_per_h for v in vms) / count, 3),
-                    "external_egress_usd_h": round(
-                        sum(v.external_egress_per_h for v in vms) / count, 3),
-                    "data_usd_h": round(
-                        sum(v.data_loading_per_h for v in vms) / count, 3),
-                })
+    jobs = [ExperimentJob.make(key, model_key, epochs=epochs)
+            for model_key in _TASKS for key in ("D-2", "D-3")]
+    jobs += [ExperimentJob.make("C-8", model_key, epochs=epochs)
+             for model_key in _TASKS]
+    results = _results(jobs)
+    rows = []
+    # (a) Per-VM hourly cost breakdown for the D experiments.
+    for result in results[:-len(_TASKS)]:
+        report = cost_report(result.run)
+        by_provider: dict[str, list] = {}
+        for vm in report.vms:
+            provider = vm.site.split(":", 1)[0]
+            by_provider.setdefault(provider, []).append(vm)
+        for provider, vms in by_provider.items():
+            count = len(vms)
+            rows.append({
+                "part": "a",
+                "task": _TASKS[result.model],
+                "experiment": result.key,
+                "provider": provider,
+                "vm_usd_h": round(sum(v.instance_per_h for v in vms)
+                                  / count, 3),
+                "internal_egress_usd_h": round(
+                    sum(v.internal_egress_per_h for v in vms) / count, 3),
+                "external_egress_usd_h": round(
+                    sum(v.external_egress_per_h for v in vms) / count, 3),
+                "data_usd_h": round(
+                    sum(v.data_loading_per_h for v in vms) / count, 3),
+            })
     # (b) C-8 egress cost per VM, plugged for each provider's pricing,
     # using the paper's call-count accounting.
     fractions = call_fractions(["US", "EU", "ASIA", "AUS"], [2, 2, 2, 2])
-    for model_key, label in (("conv", "CV"), ("rxlm", "NLP")):
-        result = _experiment("C-8", model_key, epochs=epochs)
+    for result in results[-len(_TASKS):]:
         run = result.run
         egress_gb_per_vm_h = (
             sum(run.egress_bytes_by_site.values()) / len(run.egress_bytes_by_site)
@@ -534,7 +556,7 @@ def figure11(epochs: int = 3) -> Report:
             )
             rows.append({
                 "part": "b",
-                "task": label,
+                "task": _TASKS[result.model],
                 "experiment": "C-8",
                 "provider": provider,
                 "vm_usd_h": pricing.t4_spot_per_h,
@@ -551,16 +573,16 @@ def figure11(epochs: int = 3) -> Report:
 
 
 def figure12(epochs: int = 3) -> Report:
+    jobs = [ExperimentJob.make(f"A10-{n}", model_key, epochs=epochs)
+            for model_key in _ALL_SUITABILITY_MODELS for n in (2, 4, 8)]
     rows = []
-    for model_key in _ALL_SUITABILITY_MODELS:
-        for n in (2, 4, 8):
-            result = _experiment(f"A10-{n}", model_key, epochs=epochs)
-            rows.append({
-                "model": model_key,
-                "gpus": n,
-                "egress_mbps_per_vm": round(
-                    result.run.average_egress_rate_bps() / 1e6, 1),
-            })
+    for result in _results(jobs):
+        rows.append({
+            "model": result.model,
+            "gpus": result.num_gpus,
+            "egress_mbps_per_vm": round(
+                result.run.average_egress_rate_bps() / 1e6, 1),
+        })
     return Report(
         "fig12", "Average egress rate on 2-8 A10 GPUs", rows,
         notes=["paper: the smaller the model, the lower the egress rate, "
@@ -573,24 +595,19 @@ def figure12(epochs: int = 3) -> Report:
 # --------------------------------------------------------------------------
 
 def table6(epochs: int = 3) -> Report:
+    # Column label -> experiment, after the RTX8000 baseline column.
+    columns = {"E-A-8": "E-A-8", "E-B-8": "E-B-8", "E-C-8": "E-C-8",
+               "8xT4": "A-8", "8xA10": "A10-8"}
+    jobs: list[Job] = []
+    for model_key in ("conv", "rxlm"):
+        jobs.append(BaselineJob("RTX8000", model_key))
+        jobs += [ExperimentJob.make(key, model_key, epochs=epochs)
+                 for key in columns.values()]
+    sps = iter(round(result.throughput_sps, 1) for result in _results(jobs))
     rows = []
-    for model_key, label in (("conv", "CONV"), ("rxlm", "RXLM")):
-        row = {"model": label}
-        row["RTX8000"] = round(
-            _baseline("RTX8000", model_key).throughput_sps, 1
-        )
-        for key in ("E-A-8", "E-B-8", "E-C-8"):
-            row[key] = round(
-                _experiment(key, model_key, epochs=epochs).throughput_sps,
-                1,
-            )
-        row["8xT4"] = round(
-            _experiment("A-8", model_key, epochs=epochs).throughput_sps, 1
-        )
-        row["8xA10"] = round(
-            _experiment("A10-8", model_key, epochs=epochs).throughput_sps,
-            1,
-        )
+    for label in ("CONV", "RXLM"):
+        row = {"model": label, "RTX8000": next(sps)}
+        row.update((column, next(sps)) for column in columns)
         rows.append(row)
     return Report(
         "table6", "Hybrid- vs cloud-only throughput for the (E) setting",
@@ -603,24 +620,29 @@ def table6(epochs: int = 3) -> Report:
 
 def _hybrid_figure(setting: str, baseline_name: str, fig_key: str,
                    title: str, notes: list[str], epochs: int) -> Report:
+    points = [(f"{setting}-{variant}-{n}", n)
+              for variant in ("A", "B", "C") for n in (1, 2, 4, 8)]
+    jobs: list[Job] = []
+    for model_key in _TASKS:
+        jobs.append(BaselineJob(baseline_name, model_key))
+        jobs += [ExperimentJob.make(key, model_key, epochs=epochs)
+                 for key, __ in points]
+    results = iter(_results(jobs))
     rows = []
-    for model_key, label in (("conv", "CV"), ("rxlm", "NLP")):
-        baseline = _baseline(baseline_name, model_key)
+    for label in _TASKS.values():
+        baseline = next(results)
         rows.append({
             "task": label, "experiment": baseline_name, "cloud_gpus": 0,
             "sps": round(baseline.throughput_sps, 1), "granularity": None,
         })
-        for variant in ("A", "B", "C"):
-            for n in (1, 2, 4, 8):
-                key = f"{setting}-{variant}-{n}"
-                result = _experiment(key, model_key, epochs=epochs)
-                rows.append({
-                    "task": label,
-                    "experiment": key,
-                    "cloud_gpus": n,
-                    "sps": round(result.throughput_sps, 1),
-                    "granularity": round(result.granularity, 2),
-                })
+        for (key, n), result in zip(points, results):
+            rows.append({
+                "task": label,
+                "experiment": key,
+                "cloud_gpus": n,
+                "sps": round(result.throughput_sps, 1),
+                "granularity": round(result.granularity, 2),
+            })
     return Report(fig_key, title, rows, notes)
 
 
@@ -650,23 +672,23 @@ def figure14(epochs: int = 3) -> Report:
 # --------------------------------------------------------------------------
 
 def figure16(epochs: int = 3) -> Report:
-    rows = []
-    baseline = _baseline("1xT4", "whisper-small")
-    rows.append({
+    jobs = [ExperimentJob.make(f"A-{n}", "whisper-small",
+                               target_batch_size=tbs, epochs=epochs)
+            for tbs in (256, 512, 1024) for n in (2, 4, 8)]
+    baseline, *results = _results([BaselineJob("1xT4", "whisper-small"),
+                                   *jobs])
+    rows = [{
         "tbs": None, "gpus": 1, "sps": round(baseline.throughput_sps, 1),
         "granularity": None, "speedup": 1.0,
-    })
-    for tbs in (256, 512, 1024):
-        for n in (2, 4, 8):
-            result = _experiment(f"A-{n}", "whisper-small",
-                                 target_batch_size=tbs, epochs=epochs)
-            rows.append({
-                "tbs": tbs,
-                "gpus": n,
-                "sps": round(result.throughput_sps, 1),
-                "granularity": round(result.granularity, 2),
-                "speedup": round(result.speedup, 2),
-            })
+    }]
+    for result in results:
+        rows.append({
+            "tbs": result.target_batch_size,
+            "gpus": result.num_gpus,
+            "sps": round(result.throughput_sps, 1),
+            "granularity": round(result.granularity, 2),
+            "speedup": round(result.speedup, 2),
+        })
     return Report(
         "fig16", "WhisperSmall performance with varying TBS", rows,
         notes=["paper: TBS 256 gives no benefit; TBS 512 and 1024 reach "
@@ -773,158 +795,6 @@ REPORTS: dict[str, Callable[..., Report]] = {
 }
 
 
-# --------------------------------------------------------------------------
-# Known run points per report — the prefetch registry
-# --------------------------------------------------------------------------
-
-def _points_cost_throughput(model: str, distributed: list[tuple[str, int]],
-                            baselines: list[str],
-                            epochs: int) -> list[Job]:
-    jobs: list[Job] = [BaselineJob(name, model) for name in baselines]
-    jobs += [ExperimentJob.make(key, model, target_batch_size=tbs,
-                                epochs=epochs)
-             for key, tbs in distributed]
-    return jobs
-
-
-def _points_fig01(epochs: int) -> list[Job]:
-    return _points_cost_throughput(
-        "conv", [("A-8", 32768), ("A10-8", 32768)],
-        ["1xT4", "1xA10", "DGX-2", "4xT4-DDP"], epochs)
-
-
-def _points_fig15(epochs: int) -> list[Job]:
-    return _points_cost_throughput(
-        "rxlm", [("A-8", 32768), ("A10-8", 32768)],
-        ["1xT4", "1xA10", "DGX-2", "4xT4-DDP"], epochs)
-
-
-def _points_fig17(epochs: int) -> list[Job]:
-    return _points_cost_throughput(
-        "whisper-small", [("A-8", 1024)], ["A100", "4xT4-DDP"], epochs)
-
-
-def _points_fig02(epochs: int) -> list[Job]:
-    return [ExperimentJob.make("A10-2", model, epochs=epochs)
-            for model in _ALL_SUITABILITY_MODELS]
-
-
-def _points_tbs_sweep(epochs: int) -> list[Job]:
-    return [ExperimentJob.make("A10-2", model, target_batch_size=tbs,
-                               epochs=epochs)
-            for model in _ALL_SUITABILITY_MODELS
-            for tbs in (8192, 16384, 32768)]
-
-
-def _points_fig03(epochs: int) -> list[Job]:
-    return ([BaselineJob("1xA10", model)
-             for model in _ALL_SUITABILITY_MODELS]
-            + _points_tbs_sweep(epochs))
-
-
-def _points_a10_scaling(epochs: int) -> list[Job]:
-    jobs: list[Job] = []
-    for model in _ALL_SUITABILITY_MODELS:
-        jobs.append(BaselineJob("1xA10", model))
-        jobs += [ExperimentJob.make(f"A10-{n}", model, epochs=epochs)
-                 for n in (2, 3, 4, 8)]
-    return jobs
-
-
-def _points_geo(keys: list[str], epochs: int) -> list[Job]:
-    jobs: list[Job] = []
-    for model in ("conv", "rxlm"):
-        for key in keys:
-            if key == "A-1":
-                jobs.append(BaselineJob("1xT4", model))
-            else:
-                jobs.append(ExperimentJob.make(key, model, epochs=epochs))
-    return jobs
-
-
-def _points_fig10(epochs: int) -> list[Job]:
-    return [ExperimentJob.make(key, model, epochs=epochs)
-            for model in ("conv", "rxlm") for key in ("D-1", "D-2", "D-3")]
-
-
-def _points_fig11(epochs: int) -> list[Job]:
-    return ([ExperimentJob.make(key, model, epochs=epochs)
-             for model in ("conv", "rxlm") for key in ("D-2", "D-3")]
-            + [ExperimentJob.make("C-8", model, epochs=epochs)
-               for model in ("conv", "rxlm")])
-
-
-def _points_fig12(epochs: int) -> list[Job]:
-    return [ExperimentJob.make(f"A10-{n}", model, epochs=epochs)
-            for model in _ALL_SUITABILITY_MODELS for n in (2, 4, 8)]
-
-
-def _points_table6(epochs: int) -> list[Job]:
-    jobs: list[Job] = []
-    for model in ("conv", "rxlm"):
-        jobs.append(BaselineJob("RTX8000", model))
-        jobs += [ExperimentJob.make(key, model, epochs=epochs)
-                 for key in ("E-A-8", "E-B-8", "E-C-8", "A-8", "A10-8")]
-    return jobs
-
-
-def _points_hybrid(setting: str, baseline_name: str,
-                   epochs: int) -> list[Job]:
-    jobs: list[Job] = []
-    for model in ("conv", "rxlm"):
-        jobs.append(BaselineJob(baseline_name, model))
-        jobs += [
-            ExperimentJob.make(f"{setting}-{variant}-{n}", model,
-                               epochs=epochs)
-            for variant in ("A", "B", "C") for n in (1, 2, 4, 8)
-        ]
-    return jobs
-
-
-def _points_adaptive(epochs: int) -> list[Job]:
-    from .adaptive import adaptive_points
-
-    return adaptive_points(epochs)
-
-
-def _points_fig16(epochs: int) -> list[Job]:
-    jobs: list[Job] = [BaselineJob("1xT4", "whisper-small")]
-    jobs += [ExperimentJob.make(f"A-{n}", "whisper-small",
-                                target_batch_size=tbs, epochs=epochs)
-             for tbs in (256, 512, 1024) for n in (2, 4, 8)]
-    return jobs
-
-
-#: Every simulated/priced point a report will request, keyed like
-#: :data:`REPORTS`; reports that run no experiments are absent. Used to
-#: warm the run cache in parallel before the (serial) row loops run —
-#: and cross-checked against the actual requests by the test suite.
-REPORT_POINTS: dict[str, Callable[[int], list[Job]]] = {
-    "fig01": _points_fig01,
-    "fig02": _points_fig02,
-    "fig03": _points_fig03,
-    "fig04": _points_tbs_sweep,
-    "fig05": _points_a10_scaling,
-    "fig06": _points_a10_scaling,
-    "fig07": lambda epochs: _points_geo(
-        ["A-1", "A-2", "A-3", "A-4", "A-6", "A-8"], epochs),
-    "fig08": lambda epochs: _points_geo(
-        ["A-1", "B-2", "B-4", "B-6", "B-8"], epochs),
-    "fig09": lambda epochs: _points_geo(
-        ["A-1", "C-3", "C-4", "C-6", "C-8"], epochs),
-    "fig10": _points_fig10,
-    "fig11": _points_fig11,
-    "fig12": _points_fig12,
-    "table6": _points_table6,
-    "fig13": lambda epochs: _points_hybrid("E", "RTX8000", epochs),
-    "fig14": lambda epochs: _points_hybrid("F", "DGX-2", epochs),
-    "fig15": _points_fig15,
-    "fig16": _points_fig16,
-    "fig17": _points_fig17,
-    "adaptive": _points_adaptive,
-}
-
-
 def report_keys() -> list[str]:
     return list(REPORTS)
 
@@ -935,20 +805,16 @@ def generate(key: str, epochs: int = 3, jobs: int = 1,
              **kwargs) -> Report:
     """Regenerate one of the paper's tables/figures by id.
 
-    With ``jobs > 1`` the report's known point list (from
-    :data:`REPORT_POINTS`) is prefetched on a process pool first; the
-    report body then assembles its rows serially from warm results, so
-    the output is identical to a serial run. ``cache`` persists results
-    across invocations; ``orchestrator`` overrides both knobs. Extra
-    keyword arguments reach the report body (e.g. ``policy=`` for the
-    ``adaptive`` report).
+    The report body runs under an orchestrator built from ``jobs`` and
+    ``cache`` (``orchestrator`` overrides both): its points execute as
+    one batch, on a process pool with ``jobs > 1``, and the output is
+    identical to a serial run. ``cache`` persists results across
+    invocations. Extra keyword arguments reach the report body (e.g.
+    ``policy=`` for the ``adaptive`` report).
     """
     if key not in REPORTS:
         raise KeyError(f"unknown report {key!r}; known: {report_keys()}")
     if orchestrator is None:
         orchestrator = Orchestrator(cache=cache, jobs=jobs)
     with use_orchestrator(orchestrator):
-        points = REPORT_POINTS.get(key)
-        if points is not None and orchestrator.jobs > 1 and not kwargs:
-            orchestrator.prefetch(points(epochs))
         return REPORTS[key](epochs=epochs, **kwargs)

@@ -5,17 +5,14 @@ and baseline jobs. Every call path — ``repro sweep``, figure
 generation, the resilience reports, the benchmark harness — funnels
 through it, so caching and parallelism are implemented once:
 
-* :meth:`experiment` / :meth:`baseline` run one job with the full
-  lookup chain (in-memory memo → on-disk cache → execute) and raise
-  simulation errors exactly like the underlying functions, so existing
-  ``try/except`` call sites keep working;
+* :meth:`run` runs one job with the full lookup chain (in-memory memo
+  → on-disk cache → execute) and raises simulation errors exactly like
+  the underlying function; :meth:`experiment` builds the job from
+  ``run_experiment``'s arguments and runs it;
 * :meth:`map` runs many jobs, resolving hits first and fanning the
   misses out over a process pool when ``jobs > 1``; outcomes come back
-  in input order, and failures are returned as records, not raised;
-* :meth:`prefetch` is :meth:`map` for its warming side effect: figure
-  generators stay simple serial loops, and ``--jobs N`` parallelism
-  comes from warming the memo with the figure's known point list
-  first.
+  in input order, and failures are returned as records, not raised.
+  Each report body submits its whole point list as one batch.
 
 The ambient orchestrator (:func:`use_orchestrator` /
 :func:`current_orchestrator`) lets the figure code find the active
@@ -34,7 +31,6 @@ from typing import Any, Iterator, Optional, Sequence
 from .executor import default_worker_count, run_wire_jobs
 from .fingerprint import Uncacheable
 from .jobs import (
-    BaselineJob,
     ExperimentJob,
     Job,
     JobFailure,
@@ -133,13 +129,11 @@ class Orchestrator:
                 key, model, target_batch_size=target_batch_size,
                 epochs=epochs, spot=spot, **overrides,
             )
-        return self._run_one(job)
+        return self.run(job)
 
-    def baseline(self, name: str, model: str, spot: bool = True):
-        """Cache-aware ``centralized_baseline``; raises like the original."""
-        return self._run_one(BaselineJob(name=name, model=model, spot=spot))
-
-    def _run_one(self, job: Job):
+    def run(self, job: Job):
+        """One job through memo → disk cache → execute; raises like
+        ``run_experiment`` / ``centralized_baseline``."""
         key = job_key(job)
         if key in self._memo:
             self.memo_hits += 1
@@ -166,8 +160,8 @@ class Orchestrator:
         Hits (memo, then disk) are resolved up front; the remaining
         misses execute — on a process pool when this orchestrator was
         built with ``jobs > 1``, inline otherwise. Results always enter
-        the memo (and the disk cache when one is attached), so a
-        subsequent serial pass over the same points is pure hits.
+        the memo (and the disk cache when one is attached), so a later
+        batch over the same points is pure hits.
         """
         jobs = list(jobs)
         outcomes: list[Optional[JobOutcome]] = [None] * len(jobs)
@@ -232,15 +226,6 @@ class Orchestrator:
                     progress(outcome.result)
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    def prefetch(self, jobs: Sequence[Job]) -> list[JobOutcome]:
-        """Warm the memo/cache for ``jobs``; failures stay silent.
-
-        A failed prefetch simply leaves its point cold — the serial
-        consumer re-executes it and surfaces the error through its own
-        (original) control flow.
-        """
-        return self.map(jobs)
 
     def _execute_inline(self, job: Job, key: Optional[str]) -> JobOutcome:
         try:

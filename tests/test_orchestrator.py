@@ -2,8 +2,8 @@
 
 Covers the content-addressed fingerprint/cache layer, the process-pool
 executor (timeouts, broken pools, retries), the serial == ``--jobs N``
-byte-identity guarantee (fault schedules included), and the prefetch
-registry that keeps figure generation covered by the parallel path.
+byte-identity guarantee (fault schedules included), and the one batch
+per report that gives every report the parallel path.
 """
 
 import json
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.experiments import SweepGrid, run_sweep
+from repro.experiments import REPORTS, SweepGrid, generate, render, run_sweep
 from repro.experiments.resilience import chaos_schedule_for
 from repro.orchestrator import (
     BaselineJob,
@@ -228,8 +228,8 @@ class TestOrchestrator:
 
     def test_memoizes_baselines(self):
         orch = Orchestrator()
-        first = orch.baseline("1xA10", "conv")
-        assert orch.baseline("1xA10", "conv") is first
+        first = orch.run(BaselineJob("1xA10", "conv"))
+        assert orch.run(BaselineJob("1xA10", "conv")) is first
         assert orch.executed == 1 and orch.memo_hits == 1
 
     def test_uncacheable_falls_back_to_direct_run(self):
@@ -388,22 +388,45 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# figure prefetch registry
+# reports: one batch each, --jobs 2 == serial
 # ---------------------------------------------------------------------------
 
-class TestReportPoints:
-    @pytest.mark.parametrize("key", ["fig17", "fig10"])
-    def test_prefetch_covers_figure_body(self, key):
-        from repro.experiments.figures import REPORT_POINTS, generate
+@pytest.fixture
+def requested_keys(monkeypatch):
+    """Distinct job keys every ``Orchestrator.map`` batch asked for."""
+    keys: set[str] = set()
+    real_map = Orchestrator.map
 
-        points = REPORT_POINTS[key](2)
-        unique = {job_key(job) for job in points}
-        orch = Orchestrator(jobs=2)
-        report = generate(key, epochs=2, orchestrator=orch)
-        # The warm-up executed every unique point once; the figure body
-        # then ran entirely from the memo.
-        assert orch.executed == len(unique)
-        assert report.rows
+    def recording_map(self, jobs, progress=None):
+        jobs = list(jobs)
+        keys.update(job_key(job) for job in jobs)
+        return real_map(self, jobs, progress)
+
+    monkeypatch.setattr(Orchestrator, "map", recording_map)
+    return keys
+
+
+class TestReportBatches:
+    @staticmethod
+    def _generate(requested_keys, key, kwargs, jobs):
+        requested_keys.clear()
+        orch = Orchestrator(jobs=jobs)
+        text = render(generate(key, epochs=1, orchestrator=orch, **kwargs))
+        return text, orch.executed, len(requested_keys)
+
+    @pytest.mark.parametrize("key, kwargs", [
+        *(pytest.param(key, {}, id=key) for key in REPORTS),
+        pytest.param("adaptive", {"policy": "adaptive"}, id="adaptive-policy"),
+    ])
+    def test_parallel_matches_serial(self, requested_keys, key, kwargs):
+        serial, serial_executed, requested = self._generate(
+            requested_keys, key, kwargs, jobs=1)
+        parallel, parallel_executed, __ = self._generate(
+            requested_keys, key, kwargs, jobs=2)
+        assert parallel == serial
+        # Every point executes once, expected failures included (fig15's
+        # 4xT4-DDP baseline runs out of memory for NLP).
+        assert parallel_executed == serial_executed == requested
 
 
 # ---------------------------------------------------------------------------
