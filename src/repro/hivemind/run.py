@@ -776,6 +776,8 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
                 if numeric is not None and previous.average is not None:
                     numeric.apply(pending_sites, previous.average)
                 if 0 <= pending_epoch < len(epoch_stats):
+                    epoch_stats[pending_epoch].transfer_s = \
+                        previous.wall_time_s
                     epoch_stats[pending_epoch].rounds_retried = \
                         previous.retries
                     epoch_stats[pending_epoch].degraded = previous.degraded

@@ -332,9 +332,16 @@ class TestDataBottleneck:
         assert slow.throughput_sps < 0.5 * fast.throughput_sps
 
     def test_overlap_records_transfer_in_middle_epochs(self):
+        plain = run_hivemind(make_config("rxlm", {"gc:us": 4}, epochs=4))
         result = run_hivemind(make_config("rxlm", {"gc:us": 4}, epochs=4,
                                           overlap_communication=True))
-        # The final epoch always waits for its round, so its transfer
-        # time is recorded; total samples are still fully applied.
+        # Every overlapped round lands on the epoch that launched it, so
+        # each epoch records the same transfer time as a plain epoch;
+        # total samples are still fully applied.
         assert result.epochs[-1].transfer_s > 0
+        for overlapped, reference in zip(result.epochs, plain.epochs):
+            assert overlapped.transfer_s == pytest.approx(
+                reference.transfer_s
+            )
+        assert result.granularity == pytest.approx(plain.granularity)
         assert result.total_samples == pytest.approx(4 * 32768, rel=0.02)
