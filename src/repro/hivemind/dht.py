@@ -85,11 +85,13 @@ _RPC_FAILED = object()
 class DhtNetwork:
     """Transport + registry; RPCs travel through the fabric.
 
-    With the default policy (``max_retries=0``, ``rpc_timeout_s=None``)
-    behaviour is exactly the legacy one: a single attempt whose
-    transfers wait forever. Fault-tolerant runs enable a bounded
-    retry-with-backoff on top of the dead-peer timeout, plus a
-    per-attempt transport timeout that aborts the in-flight transfer.
+    Without a ``fault_tolerance`` policy
+    (:class:`repro.faults.FaultTolerance`) behaviour is exactly the
+    legacy one: a single attempt whose transfers wait forever. With one,
+    RPCs get its bounded retry-with-backoff (``dht_max_retries``,
+    ``dht_backoff_s``, ``backoff_factor``) on top of the dead-peer
+    timeout, plus its per-attempt transport timeout
+    (``dht_rpc_timeout_s``) that aborts the in-flight transfer.
     """
 
     def __init__(
@@ -97,20 +99,12 @@ class DhtNetwork:
         env: Environment,
         fabric: Fabric,
         telemetry=None,
-        max_retries: int = 0,
-        retry_backoff_s: float = 1.0,
-        backoff_factor: float = 2.0,
-        rpc_timeout_s: Optional[float] = None,
+        fault_tolerance=None,
     ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.env = env
         self.fabric = fabric
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.backoff_factor = backoff_factor
-        self.rpc_timeout_s = rpc_timeout_s
+        self.fault_tolerance = fault_tolerance
         self._ops_counter = self.telemetry.counter(
             "dht_ops_total", "DHT RPCs issued, by method"
         )
@@ -138,7 +132,7 @@ class DhtNetwork:
     def rpc(self, src: "DhtNode", dst_id: int, method: str, *args):
         """Round-trip RPC as a simulation process; returns the response
         or ``None`` once the retry budget is exhausted (dead peer, or
-        transport timeouts when ``rpc_timeout_s`` is set)."""
+        transport timeouts when the policy sets ``dht_rpc_timeout_s``)."""
         self.rpc_count += 1
         cached = self._per_method.get(method)
         if cached is None:
@@ -148,12 +142,12 @@ class DhtNetwork:
             )
         name, ops_child = cached
         ops_child.inc()
-        for attempt in range(self.max_retries + 1):
+        ft = self.fault_tolerance
+        for attempt in range(ft.dht_max_retries + 1 if ft is not None else 1):
             if attempt:
                 self._retries_counter.inc(method=method)
                 yield self.env.timeout(
-                    self.retry_backoff_s
-                    * self.backoff_factor ** (attempt - 1)
+                    ft.dht_backoff_s * ft.backoff_factor ** (attempt - 1)
                 )
             # Re-resolve each attempt: the peer may have died — or
             # rejoined — while we were backing off.
@@ -171,7 +165,8 @@ class DhtNetwork:
                  method: str, args: tuple):
         """One round trip; returns the response or ``_RPC_FAILED`` when
         a transport timeout cancelled a leg."""
-        timeout_s = self.rpc_timeout_s
+        ft = self.fault_tolerance
+        timeout_s = ft.dht_rpc_timeout_s if ft is not None else None
         with self._span(name, category="dht", track=src.site, dst=dst.site):
             request = self.fabric.transfer(src.site, dst.site, _RPC_BYTES,
                                            tag="dht")

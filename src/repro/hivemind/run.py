@@ -559,15 +559,7 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
     )
 
     # -- DHT + monitor -----------------------------------------------------
-    dht_network = DhtNetwork(
-        env,
-        fabric,
-        telemetry=tel,
-        max_retries=ft.dht_max_retries if ft is not None else 0,
-        retry_backoff_s=ft.dht_backoff_s if ft is not None else 1.0,
-        backoff_factor=ft.backoff_factor if ft is not None else 2.0,
-        rpc_timeout_s=ft.dht_rpc_timeout_s if ft is not None else None,
-    )
+    dht_network = DhtNetwork(env, fabric, telemetry=tel, fault_tolerance=ft)
     dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
     coordinator_node = dht_nodes[sites[0]]
 

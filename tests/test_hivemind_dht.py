@@ -1,16 +1,19 @@
 """Tests for the Kademlia-style DHT over the simulated fabric."""
 
+from repro.faults import FaultTolerance
 from repro.hivemind import DhtNetwork, DhtNode, node_id_for, xor_distance
+from repro.hivemind.dht import _RPC_TIMEOUT_S
 from repro.network import Fabric, build_topology
 from repro.simulation import Environment
+from repro.telemetry import Telemetry
 
 
-def make_network(counts=None):
+def make_network(counts=None, **kwargs):
     counts = counts or {"gc:us": 8}
     topology = build_topology(counts)
     env = Environment()
     fabric = Fabric(env, topology)
-    network = DhtNetwork(env, fabric)
+    network = DhtNetwork(env, fabric, **kwargs)
     nodes = [DhtNode(network, site) for site in topology.sites]
     return env, network, nodes
 
@@ -170,3 +173,35 @@ class TestRoutingTable:
         before = len(nodes[0].routing)
         nodes[0].routing.add(_Contact(nodes[0].node_id, nodes[0].site))
         assert len(nodes[0].routing) == before
+
+
+class TestRetryBudget:
+    def rpc_to_dead_node(self, fault_tolerance=None):
+        tel = Telemetry()
+        env, network, nodes = make_network(
+            {"gc:us": 2}, telemetry=tel, fault_tolerance=fault_tolerance
+        )
+        nodes[1].leave()
+        response = env.run(env.process(
+            network.rpc(nodes[0], nodes[1].node_id, "ping")
+        ))
+        timeouts = tel.metrics.get("dht_timeouts_total").total
+        retries = tel.metrics.get("dht_retries_total").total
+        return response, env.now, timeouts, retries
+
+    def test_dead_peer_exhausts_the_policy_budget(self):
+        """Three timed-out attempts separated by 1 s and 2 s backoffs."""
+        response, elapsed, timeouts, retries = self.rpc_to_dead_node(
+            FaultTolerance(dht_max_retries=2, dht_backoff_s=1.0)
+        )
+        assert response is None
+        assert timeouts == 3
+        assert retries == 2
+        assert elapsed == 3 * _RPC_TIMEOUT_S + 1.0 + 2.0 == 12.0
+
+    def test_default_network_makes_one_attempt(self):
+        response, elapsed, timeouts, retries = self.rpc_to_dead_node()
+        assert response is None
+        assert timeouts == 1
+        assert retries == 0
+        assert elapsed == _RPC_TIMEOUT_S
