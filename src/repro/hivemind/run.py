@@ -26,7 +26,7 @@ from ..faults import FaultInjector, FaultSchedule, FaultTolerance
 from ..hardware import get_gpu, local_sps
 from ..models import get_model
 from ..network import Fabric, Topology, location_of
-from ..simulation import Environment, Event, RandomStreams
+from ..simulation import Environment, Event, Interrupt, RandomStreams
 from ..telemetry import resolve_telemetry
 from ..training import MLP, SGD, compute_gradient, make_classification_data
 from .averager import Contribution, MoshpitAverager
@@ -339,42 +339,111 @@ class _UptimeLedger:
             self.mark_down(site)
 
 
-class _Roster:
-    """Which sites train right now, and the one way in and out of a run.
+class _Run:
+    """One simulated training run: its roster and its epoch loop.
 
-    A site contributes while its training state is current (``synced``),
-    its VM is up, and the control plane keeps it active. The spot
-    fleet's up/down events, the controller's activate/deactivate
-    callbacks and the averager's liveness probe all go through here. A
-    returning peer first downloads the model state from the nearest live
-    peer (the paper observed this taking up to two hivemind epochs
-    because averaging keeps the network busy).
+    The constructor wires every substrate together once. Two things
+    then change while the run goes, and both live here.
+
+    The roster says which sites train right now. A site contributes
+    while its training state is current (``synced``), its VM is up, and
+    the control plane keeps it active. The spot fleet's up/down events,
+    the controller's activate/deactivate callbacks and the averager's
+    liveness probe all go through here. A returning peer first
+    downloads the model state from the nearest live peer (the paper
+    observed this taking up to two hivemind epochs because averaging
+    keeps the network busy).
+
+    The epoch loop accumulates the target batch, matchmakes, launches
+    an averaging round and publishes the epoch. Every round lands
+    through :meth:`_land`, which books it on the epoch that launched
+    it: before that epoch is published in plain runs, and at the next
+    epoch's matchmaking boundary (or after the loop) with
+    ``overlap_communication``.
     """
 
-    def __init__(self, env: Environment, config: HivemindRunConfig,
-                 sites: list[str], all_sites: list[str], *, tel, fabric,
-                 averager: MoshpitAverager, dht_nodes: dict[str, DhtNode],
-                 fleet: Optional[SpotFleet], uptime: _UptimeLedger,
-                 chaos: bool, sync_bytes: float):
-        self.env = env
-        self.tel = tel
-        self.fabric = fabric
-        self.topology = config.topology
-        self.startup_s = config.startup_s
-        self.averager = averager
-        self.dht_nodes = dht_nodes
-        self.coordinator = dht_nodes[sites[0]]
-        self.uptime = uptime
+    def __init__(self, config: HivemindRunConfig):
+        self.config = config
+        model = get_model(config.model)
+        tel = self.tel = resolve_telemetry(config.telemetry)
+        self.tracing = tel.enabled
+        env = self.env = Environment(telemetry=tel if self.tracing else None)
+        fabric = self.fabric = Fabric(env, config.topology, telemetry=tel)
+        streams = RandomStreams(config.seed)
+
+        schedule = config.fault_schedule
+        if schedule is not None and schedule.empty:
+            schedule = None
+        ft = config.fault_tolerance or (
+            FaultTolerance() if schedule is not None else None
+        )
+
+        all_peers = list(config.peers) + list(config.standby_peers)
+        sites = self.sites = [peer.site for peer in config.peers]
+        all_sites = self.all_sites = [peer.site for peer in all_peers]
+        self.rates = {
+            peer.site: local_sps(peer.gpu, model) for peer in all_peers
+        }
+        plan = form_groups(config.topology, all_sites)
+        averager = self.averager = MoshpitAverager(
+            env,
+            fabric,
+            plan,
+            parameter_count=model.parameters,
+            codec=config.codec,
+            stream_caps_bps={peer.site: get_gpu(peer.gpu).avg_stream_cap_bps
+                             for peer in all_peers},
+            telemetry=tel,
+            fault_tolerance=ft,
+        )
+
+        links: dict[str, StoreLink] = {}
+        if config.account_data_loading:
+            dataset = get_dataset(model.dataset)
+            links = {site: StoreLink(dataset) for site in all_sites}
+        self.links = links
+
+        #: Crash/zone-outage faults need force-preemptible slots even when
+        #: no stochastic interruption model is configured.
+        needs_fleet = config.interruption_model is not None or (
+            schedule is not None
+            and bool(schedule.crash_faults or schedule.zone_outages)
+        )
+        fleet = self.fleet = SpotFleet(
+            env,
+            streams.stream("interruptions"),
+            slots=[
+                (peer.site, get_instance_type(peer.instance_key or "gc-t4"))
+                for peer in all_peers
+            ],
+            interruption_model=config.interruption_model,
+            startup_s=config.startup_s,
+            telemetry=tel,
+            allow_forced=schedule is not None,
+            zone_correlation=config.zone_correlation,
+            zone_of=lambda s: config.topology.get(s).zone,
+        ) if needs_fleet else None
+
+        self.numeric = (_NumericState(config.numeric, all_sites, config.seed)
+                        if config.numeric is not None else None)
+
+        # -- DHT ---------------------------------------------------------------
+        dht_network = DhtNetwork(env, fabric, telemetry=tel, fault_tolerance=ft)
+        self.dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
+        self.coordinator = self.dht_nodes[sites[0]]
+
+        # -- roster ------------------------------------------------------------
+        # VM uptime windows are only billed (and reported) under a control
+        # plane or time-varying prices; an empty ledger records nothing.
+        billed = config.policy is not None or bool(config.price_models)
+        self.uptime = _UptimeLedger(env, all_sites if billed else [])
+        for site in sites:
+            self.uptime.mark_up(site)
         #: Fault-tolerant runs also model the DHT departure and cold
         #: rejoin of a preempted VM.
-        self.chaos = chaos
-        self.sync_bytes = sync_bytes
-        self.all_sites = all_sites
+        self.chaos = ft is not None
+        self.sync_bytes = model.gradient_bytes("fp16")
         self.synced: set[str] = set(sites)
-        #: Sites the control plane keeps active: every site until a
-        #: controller is attached, then the controller's own set.
-        self.active: set[str] = set(all_sites)
-        self.controller = None
         #: Sites that completed an initial DHT join (the bootstrap
         #: covers the starting roster; activated spares join lazily).
         self.joined: set[str] = set(sites)
@@ -386,10 +455,73 @@ class _Roster:
         #: One-shot event waiters block on when no peer is live; re-armed
         #: on every wake so each all-dead episode gets a fresh signal.
         self.rejoined = Event(env)
+        if fleet is not None:
+            fleet.subscribe(self.on_fleet_event)
+        averager.set_liveness(self.is_up)
 
-    def attach(self, controller) -> None:
-        self.controller = controller
-        self.active = controller.active
+        injector: Optional[FaultInjector] = None
+        if schedule is not None:
+            injector = FaultInjector(
+                env, config.topology, fabric=fabric, schedule=schedule,
+                telemetry=tel, sites=sites,
+            )
+            if fleet is not None:
+                injector.on_crash = fleet.preempt
+            injector.start()
+        self.injector = injector
+        self.monitor = TrainingMonitor(
+            env, self.coordinator, interval_s=config.monitor_interval_s,
+            telemetry=tel if self.tracing else None,
+        ) if config.monitor_interval_s is not None else None
+
+        # -- control plane -----------------------------------------------------
+        controller = self.controller = (
+            self._controller() if config.policy is not None else None
+        )
+        #: Sites the control plane keeps active: every site without a
+        #: controller, else the controller's own set.
+        self.active: set[str] = (
+            controller.active if controller is not None else set(all_sites)
+        )
+
+        self.epochs: list[EpochStats] = []
+        self.losses: list[float] = []
+        self.metric_samples: list[MetricSample] = []
+        self.matchmaking_rng = streams.stream("matchmaking")
+
+    def _controller(self):
+        """The control-plane loop, with each location's flat spot price
+        as its fallback market."""
+        from ..controlplane import Controller
+
+        config = self.config
+        flat_prices: dict[str, float] = {}
+        for peer in (*config.peers, *config.standby_peers):
+            loc = location_of(peer.site)
+            if loc in flat_prices or peer.instance_key is None:
+                continue
+            price = get_instance_type(peer.instance_key).price_per_hour(
+                spot=True
+            )
+            if math.isfinite(price) and price > 0:
+                flat_prices[loc] = price
+
+        return Controller(
+            self.env,
+            config.policy,
+            active_sites=self.sites,
+            standby_sites=[peer.site for peer in config.standby_peers],
+            pinned_sites=(self.sites[0],),
+            target_batch_size=config.target_batch_size,
+            price_models=config.price_models,
+            flat_prices=flat_prices,
+            preemption_counts=self.preemption_counts,
+            activate=self.activate,
+            deactivate=self.deactivate,
+            telemetry=self.tel,
+        )
+
+    # -- roster ----------------------------------------------------------------
 
     def is_up(self, site: str) -> bool:
         """Whether the site's VM is running (always, without a fleet)."""
@@ -408,8 +540,6 @@ class _Roster:
             loc = location_of(slot.site)
             counts[loc] = counts.get(loc, 0) + slot.interruptions
         return counts
-
-    # -- leaving -------------------------------------------------------------
 
     def _leave(self, site: str) -> None:
         """The site stops contributing until it syncs again."""
@@ -439,8 +569,6 @@ class _Roster:
             self.uptime.mark_up(site)
             self.env.process(self._rejoin(site))
 
-    # -- joining -------------------------------------------------------------
-
     def activate(self, site: str) -> None:
         """Controller callback: boot a parked or spare site."""
         self.uptime.mark_up(site)
@@ -456,7 +584,7 @@ class _Roster:
         yield from self._sync_from_nearest(site)
 
     def _activate(self, site: str):
-        yield self.env.timeout(self.startup_s)
+        yield self.env.timeout(self.config.startup_s)
         node = self.dht_nodes[site]
         if not node.alive:
             yield from node.rejoin(self.coordinator)
@@ -472,7 +600,8 @@ class _Roster:
         mark the site synced and wake anyone waiting for a live peer."""
         donors = [s for s in self.all_sites if s in self.synced and s != site]
         if donors:
-            donor = min(donors, key=lambda d: self.topology.rtt_s(d, site))
+            topology = self.config.topology
+            donor = min(donors, key=lambda d: topology.rtt_s(d, site))
             with self.tel.span("state_sync", category="sync", track=site,
                                donor=donor):
                 yield self.fabric.transfer(donor, site, self.sync_bytes,
@@ -484,238 +613,33 @@ class _Roster:
         rejoined, self.rejoined = self.rejoined, Event(self.env)
         rejoined.succeed()
 
+    # -- epoch loop ------------------------------------------------------------
 
-def run_hivemind(config: HivemindRunConfig) -> RunResult:
-    """Simulate a full Hivemind training run; see module docstring."""
-    model = get_model(config.model)
-    tel = resolve_telemetry(config.telemetry)
-    tracing = tel.enabled
-    env = Environment(telemetry=tel if tracing else None)
-    fabric = Fabric(env, config.topology, telemetry=tel)
-    streams = RandomStreams(config.seed)
+    def run(self) -> RunResult:
+        env = self.env
+        main = env.process(self._train())
+        processes = []
+        if self.monitor is not None:
+            processes.append(env.process(self.monitor.run()))
+        if self.config.metrics_interval_s is not None:
+            processes.append(env.process(self._log_metrics()))
+        env.run(main)
+        duration_s = env.now
+        self.uptime.close()
+        for process in processes:
+            if process.is_alive:
+                process.interrupt("run finished")
+                env.run(process)
+        if self.tracing:
+            self.tel.sync_kernel_metrics()
+        return self._result(duration_s)
 
-    schedule = config.fault_schedule
-    if schedule is not None and schedule.empty:
-        schedule = None
-    ft = config.fault_tolerance
-    if ft is None and schedule is not None:
-        ft = FaultTolerance()
-
-    standby = list(config.standby_peers)
-    all_peers = list(config.peers) + standby
-    sites = [peer.site for peer in config.peers]
-    all_sites = [peer.site for peer in all_peers]
-    rates = {
-        peer.site: local_sps(peer.gpu, model) for peer in all_peers
-    }
-    plan = form_groups(config.topology, all_sites)
-    caps = {
-        peer.site: get_gpu(peer.gpu).avg_stream_cap_bps
-        for peer in all_peers
-    }
-    averager = MoshpitAverager(
-        env,
-        fabric,
-        plan,
-        parameter_count=model.parameters,
-        codec=config.codec,
-        stream_caps_bps=caps,
-        telemetry=tel,
-        fault_tolerance=ft,
-    )
-
-    links: dict[str, StoreLink] = {}
-    if config.account_data_loading:
-        dataset = get_dataset(model.dataset)
-        links = {site: StoreLink(dataset) for site in all_sites}
-
-    fleet: Optional[SpotFleet] = None
-    #: Crash/zone-outage faults need force-preemptible slots even when
-    #: no stochastic interruption model is configured.
-    needs_fleet = config.interruption_model is not None or (
-        schedule is not None
-        and bool(schedule.crash_faults or schedule.zone_outages)
-    )
-    if needs_fleet:
-        fleet = SpotFleet(
-            env,
-            streams.stream("interruptions"),
-            slots=[
-                (peer.site, get_instance_type(peer.instance_key or "gc-t4"))
-                for peer in all_peers
-            ],
-            interruption_model=config.interruption_model,
-            startup_s=config.startup_s,
-            telemetry=tel,
-            allow_forced=schedule is not None,
-            zone_correlation=config.zone_correlation,
-            zone_of=lambda s: config.topology.get(s).zone,
-        )
-
-    numeric = (
-        _NumericState(config.numeric, all_sites, config.seed)
-        if config.numeric is not None
-        else None
-    )
-
-    # -- DHT + monitor -----------------------------------------------------
-    dht_network = DhtNetwork(env, fabric, telemetry=tel, fault_tolerance=ft)
-    dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
-    coordinator_node = dht_nodes[sites[0]]
-
-    # VM uptime windows are only billed (and reported) under a control
-    # plane or time-varying prices; an empty ledger records nothing.
-    billed = config.policy is not None or bool(config.price_models)
-    uptime = _UptimeLedger(env, all_sites if billed else [])
-    for site in sites:
-        uptime.mark_up(site)
-    roster = _Roster(
-        env, config, sites, all_sites, tel=tel, fabric=fabric,
-        averager=averager, dht_nodes=dht_nodes, fleet=fleet, uptime=uptime,
-        chaos=ft is not None, sync_bytes=model.gradient_bytes("fp16"),
-    )
-    if fleet is not None:
-        fleet.subscribe(roster.on_fleet_event)
-    averager.set_liveness(roster.is_up)
-
-    injector: Optional[FaultInjector] = None
-    if schedule is not None:
-        injector = FaultInjector(
-            env, config.topology, fabric=fabric, schedule=schedule,
-            telemetry=tel, sites=sites,
-        )
-        if fleet is not None:
-            injector.on_crash = fleet.preempt
-        injector.start()
-    monitor = None
-    monitor_process = None
-    if config.monitor_interval_s is not None:
-        monitor = TrainingMonitor(
-            env, coordinator_node, interval_s=config.monitor_interval_s,
-            telemetry=tel if tracing else None,
-        )
-
-    # -- control plane -----------------------------------------------------
-    controller = None
-    if config.policy is not None:
-        from ..controlplane import Controller
-
-        flat_prices: dict[str, float] = {}
-        for peer in all_peers:
-            loc = location_of(peer.site)
-            if loc in flat_prices or peer.instance_key is None:
-                continue
-            price = get_instance_type(peer.instance_key).price_per_hour(
-                spot=True
-            )
-            if math.isfinite(price) and price > 0:
-                flat_prices[loc] = price
-
-        controller = Controller(
-            env,
-            config.policy,
-            active_sites=sites,
-            standby_sites=[peer.site for peer in standby],
-            pinned_sites=(sites[0],),
-            target_batch_size=config.target_batch_size,
-            price_models=config.price_models,
-            flat_prices=flat_prices,
-            preemption_counts=roster.preemption_counts,
-            activate=roster.activate,
-            deactivate=roster.deactivate,
-            telemetry=tel,
-        )
-        roster.attach(controller)
-
-    epoch_stats: list[EpochStats] = []
-    losses: list[float] = []
-    metric_samples: list[MetricSample] = []
-    matchmaking_rng = streams.stream("matchmaking")
-
-    def metrics_logger():
-        from ..simulation import Interrupt
-
-        try:
-            while True:
-                yield env.timeout(config.metrics_interval_s)
-                metric_samples.append(MetricSample(
-                    time_s=env.now,
-                    live_peers=len(roster.live_sites()),
-                    epochs_done=len(epoch_stats),
-                    samples_applied=sum(e.samples for e in epoch_stats),
-                    egress_bytes_total=fabric.meter.total_bytes,
-                    active_flows=fabric.active_flows,
-                ))
-        except Interrupt:
-            return
-
-    def publish_progress(epoch: int, live: int, total_samples: int):
-        yield from coordinator_node.store(
-            PROGRESS_KEY,
-            {"epoch": epoch, "live_peers": live, "total_samples": total_samples},
-            ttl_s=600.0,
-        )
-
-    def accumulate(target: int):
-        """Advance time until the live peers accumulated ``target``
-        samples; returns {site: samples} actually contributed."""
-        contributed: dict[str, float] = {site: 0.0 for site in all_sites}
-        remaining = float(target)
-        while remaining > 1e-9:
-            live = roster.live_sites()
-            if not live:
-                # Block until a peer finishes resyncing instead of
-                # polling: every completed sync wakes this event.
-                yield roster.rejoined
-                continue
-            effective: dict[str, float] = {}
-            for site in live:
-                rate = rates[site]
-                if injector is not None:
-                    rate *= injector.compute_factor(site)
-                if site in links:
-                    data_rate = links[site].demand_bps(rate)
-                    max_rate = links[site].link_capacity_bps / (
-                        8.0 * links[site].dataset.bytes_per_sample
-                    )
-                    if data_rate >= links[site].link_capacity_bps:
-                        rate = min(rate, max_rate)
-                effective[site] = rate
-            total_rate = sum(effective.values())
-            if total_rate <= 0:
-                yield env.timeout(5.0)
-                continue
-            dt = remaining / total_rate
-            step = min(dt, 30.0)
-            yield env.timeout(step)
-            for site, rate in effective.items():
-                quantum = rate * step
-                contributed[site] += quantum
-            remaining -= total_rate * step
-        for site, count in contributed.items():
-            if site in links and count > 0:
-                links[site].consume(count)
-        return contributed
-
-    def record_phase_spans(epoch: int, live: list[str], name: str,
-                           category: str, start_s: float,
-                           end_s: float) -> None:
-        """One retrospective span per live peer track (when tracing)."""
-        if not tracing or end_s <= start_s:
-            return
-        for site in live:
-            tel.tracer.add_span(name, category, site, start_s, end_s,
-                                epoch=epoch)
-
-    def training():
+    def _train(self):
+        config, env, tel = self.config, self.env, self.tel
         # Bootstrap the DHT before training starts.
         with tel.span("dht_bootstrap", category="dht", track="epochs"):
-            for site in sites[1:]:
-                yield from dht_nodes[site].join(coordinator_node)
-        pending_round = None
-        pending_sites: list[str] = []
-        pending_epoch = -1
-        pending_started = 0.0
+            for site in self.sites[1:]:
+                yield from self.dht_nodes[site].join(self.coordinator)
         epoch_seconds = tel.histogram(
             "epoch_wall_seconds", "Wall time per hivemind epoch"
         )
@@ -723,18 +647,19 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
         samples_counter = tel.counter(
             "samples_applied_total", "Samples applied across all epochs"
         )
+        in_flight = None
         for epoch in range(config.epochs):
             epoch_start = env.now
             target = (
-                controller.current_tbs if controller is not None
+                self.controller.current_tbs if self.controller is not None
                 else config.target_batch_size
             )
-            contributed = yield from accumulate(target)
+            contributed = yield from self._accumulate(target)
             calc_s = env.now - epoch_start
 
             matchmaking_start = env.now
             delay = matchmaking_delay(
-                matchmaking_rng, calc_s, config.min_matchmaking_s,
+                self.matchmaking_rng, calc_s, config.min_matchmaking_s,
                 telemetry=tel,
             )
             yield env.timeout(delay)
@@ -746,148 +671,188 @@ def run_hivemind(config: HivemindRunConfig) -> RunResult:
                 count = int(round(contributed[site]))
                 if count <= 0:
                     continue
-                if numeric is not None:
-                    weighted, count, loss = numeric.gradient_for(site, count)
-                    loss_values.append(loss)
-                    contributions.append(
-                        Contribution(site, count, weighted_sum=weighted)
+                weighted = None
+                if self.numeric is not None:
+                    weighted, count, loss = self.numeric.gradient_for(
+                        site, count
                     )
-                else:
-                    contributions.append(Contribution(site, count))
+                    loss_values.append(loss)
+                contributions.append(
+                    Contribution(site, count, weighted_sum=weighted)
+                )
 
-            record_phase_spans(epoch, live, "calc", "calc",
-                               epoch_start, matchmaking_start)
-            record_phase_spans(epoch, live, "matchmaking", "matchmaking",
-                               matchmaking_start, matchmaking_start + delay)
-
-            if config.overlap_communication and pending_round is not None:
-                # Make sure the previous (overlapped) round has landed.
-                previous = yield pending_round
-                record_phase_spans(pending_epoch, pending_sites, "transfer",
-                                   "transfer", pending_started, env.now)
-                if numeric is not None and previous.average is not None:
-                    numeric.apply(pending_sites, previous.average)
-                if 0 <= pending_epoch < len(epoch_stats):
-                    epoch_stats[pending_epoch].transfer_s = \
-                        previous.wall_time_s
-                    epoch_stats[pending_epoch].rounds_retried = \
-                        previous.retries
-                    epoch_stats[pending_epoch].degraded = previous.degraded
-                pending_round = None
-
-            round_start = env.now
-            round_process = env.process(averager.run_round(contributions))
-            round_retries = 0
-            round_degraded = False
-            samples = int(sum(contributed.values()))
-            if config.overlap_communication:
-                pending_round = round_process
-                pending_sites = live
-                pending_epoch = epoch
-                pending_started = round_start
-                transfer_s = 0.0  # accounted when the round lands
-            else:
-                result = yield round_process
-                transfer_s = result.wall_time_s
-                round_retries = result.retries
-                round_degraded = result.degraded
-                if round_degraded and result.dropped_peers:
-                    # Only the surviving contributions were applied.
-                    samples = result.total_samples
-                record_phase_spans(epoch, live, "transfer", "transfer",
-                                   round_start, env.now)
-                if numeric is not None and result.average is not None:
-                    numeric.apply(live, result.average)
+            self._phase_spans(epoch, live, "calc", epoch_start,
+                              matchmaking_start)
+            self._phase_spans(epoch, live, "matchmaking", matchmaking_start,
+                              matchmaking_start + delay)
+            if in_flight is not None:
+                # The previous (overlapped) round lands before this
+                # epoch's round starts.
+                yield from self._land(*in_flight)
 
             if loss_values:
-                losses.append(float(np.mean(loss_values)))
-            epoch_stats.append(
-                EpochStats(
-                    index=epoch,
-                    calc_s=calc_s,
-                    matchmaking_s=delay,
-                    transfer_s=transfer_s,
-                    wall_s=env.now - epoch_start,
-                    samples=samples,
-                    live_peers=len(live),
-                    loss=losses[-1] if loss_values else None,
-                    rounds_retried=round_retries,
-                    degraded=round_degraded,
-                )
+                self.losses.append(float(np.mean(loss_values)))
+            stats = EpochStats(
+                index=epoch,
+                calc_s=calc_s,
+                matchmaking_s=delay,
+                transfer_s=0.0,
+                wall_s=0.0,
+                samples=int(sum(contributed.values())),
+                live_peers=len(live),
+                loss=self.losses[-1] if loss_values else None,
             )
-            if tracing:
+            in_flight = (stats, live, env.now,
+                         env.process(self.averager.run_round(contributions)))
+            if not config.overlap_communication:
+                yield from self._land(*in_flight)
+                in_flight = None
+            stats.wall_s = env.now - epoch_start
+
+            self.epochs.append(stats)
+            if self.tracing:
                 tel.tracer.add_span("epoch", "epoch", "epochs",
                                     epoch_start, env.now, epoch=epoch,
-                                    samples=samples, peers=len(live))
-            epoch_seconds.observe(env.now - epoch_start)
+                                    samples=stats.samples, peers=len(live))
+            epoch_seconds.observe(stats.wall_s)
             live_gauge.set(len(live))
-            samples_counter.inc(samples)
-            env.process(publish_progress(epoch, len(live), samples))
-            if controller is not None:
-                controller.on_epoch_end(epoch_stats[-1])
-        if config.overlap_communication and pending_round is not None:
-            final = yield pending_round
-            record_phase_spans(pending_epoch, pending_sites, "transfer",
-                               "transfer", pending_started, env.now)
-            if epoch_stats:
-                epoch_stats[-1].transfer_s = final.wall_time_s
-                epoch_stats[-1].rounds_retried = final.retries
-                epoch_stats[-1].degraded = final.degraded
-            if numeric is not None and final.average is not None:
-                numeric.apply(pending_sites, final.average)
+            samples_counter.inc(stats.samples)
+            env.process(self._publish_progress(epoch, len(live),
+                                               stats.samples))
+            if self.controller is not None:
+                self.controller.on_epoch_end(stats)
+        if in_flight is not None:
+            yield from self._land(*in_flight)
 
-    main = env.process(training())
-    if monitor is not None:
-        monitor_process = env.process(monitor.run())
-    metrics_process = None
-    if config.metrics_interval_s is not None:
-        metrics_process = env.process(metrics_logger())
-    env.run(main)
-    duration = env.now
-    uptime.close()
-    if monitor_process is not None and monitor_process.is_alive:
-        monitor_process.interrupt("run finished")
-        env.run(monitor_process)
-    if metrics_process is not None and metrics_process.is_alive:
-        metrics_process.interrupt("run finished")
-        env.run(metrics_process)
+    def _land(self, stats: EpochStats, live: list[str], started_s: float,
+              round_process):
+        """Wait for an averaging round, apply its average, and book its
+        transfer time, retries and surviving samples on ``stats``, the
+        epoch that launched it."""
+        result = yield round_process
+        self._phase_spans(stats.index, live, "transfer", started_s,
+                          self.env.now)
+        if self.numeric is not None and result.average is not None:
+            self.numeric.apply(live, result.average)
+        stats.transfer_s = result.wall_time_s
+        stats.rounds_retried = result.retries
+        stats.degraded = result.degraded
+        if result.degraded and result.dropped_peers:
+            # Only the surviving contributions were applied.
+            stats.samples = result.total_samples
 
-    if tracing:
-        tel.sync_kernel_metrics()
+    def _accumulate(self, target: int):
+        """Advance time until the live peers accumulated ``target``
+        samples; returns {site: samples} actually contributed."""
+        links, injector = self.links, self.injector
+        contributed: dict[str, float] = {site: 0.0 for site in self.all_sites}
+        remaining = float(target)
+        while remaining > 1e-9:
+            live = self.live_sites()
+            if not live:
+                # Block until a peer finishes resyncing instead of
+                # polling: every completed sync wakes this event.
+                yield self.rejoined
+                continue
+            effective: dict[str, float] = {}
+            for site in live:
+                rate = self.rates[site]
+                if injector is not None:
+                    rate *= injector.compute_factor(site)
+                link = links.get(site)
+                if (link is not None
+                        and link.demand_bps(rate) >= link.link_capacity_bps):
+                    # Data loading caps the rate at the link's bandwidth.
+                    rate = min(rate, link.link_capacity_bps / (
+                        8.0 * link.dataset.bytes_per_sample
+                    ))
+                effective[site] = rate
+            total_rate = sum(effective.values())
+            if total_rate <= 0:
+                yield self.env.timeout(5.0)
+                continue
+            dt = remaining / total_rate
+            step = min(dt, 30.0)
+            yield self.env.timeout(step)
+            for site, rate in effective.items():
+                contributed[site] += rate * step
+            remaining -= total_rate * step
+        for site, count in contributed.items():
+            if site in links and count > 0:
+                links[site].consume(count)
+        return contributed
 
-    averaging_bytes = sum(
-        nbytes
-        for (src, dst), nbytes in fabric.meter.by_pair.items()
-    )
-    return RunResult(
-        config=config,
-        epochs=epoch_stats,
-        duration_s=duration,
-        egress_bytes_by_class=dict(fabric.meter.by_class),
-        egress_bytes_by_site=dict(fabric.meter.egress_by_site),
-        egress_bytes_by_pair=dict(fabric.meter.by_pair),
-        averaging_bytes=averaging_bytes,
-        data_ingress_bytes_by_site={
-            site: link.bill.ingress_bytes for site, link in links.items()
-        },
-        monitor_samples=len(monitor.samples) if monitor is not None else 0,
-        interruptions=fleet.total_interruptions if fleet is not None else 0,
-        peak_active_flows=fabric.peak_active_flows,
-        state_syncs=roster.state_syncs,
-        losses=losses,
-        metrics=metric_samples,
-        telemetry=tel if tracing else None,
-        rounds_retried=sum(e.rounds_retried for e in epoch_stats),
-        degraded_epochs=sum(1 for e in epoch_stats if e.degraded),
-        transfers_aborted=fabric.aborted_flows,
-        fault_counts=dict(injector.counts) if injector is not None else {},
-        uptime_intervals_by_site={
-            site: list(iv) for site, iv in uptime.intervals.items() if iv
-        },
-        decisions=(
-            list(controller.decisions) if controller is not None else []
-        ),
-        control_actions=(
-            dict(controller.counts) if controller is not None else {}
-        ),
-    )
+    def _phase_spans(self, epoch: int, live: list[str], phase: str,
+                     start_s: float, end_s: float) -> None:
+        """One retrospective span per live peer track (when tracing)."""
+        if not self.tracing or end_s <= start_s:
+            return
+        for site in live:
+            self.tel.tracer.add_span(phase, phase, site, start_s, end_s,
+                                     epoch=epoch)
+
+    def _publish_progress(self, epoch: int, live: int, total_samples: int):
+        yield from self.coordinator.store(
+            PROGRESS_KEY,
+            {"epoch": epoch, "live_peers": live, "total_samples": total_samples},
+            ttl_s=600.0,
+        )
+
+    def _log_metrics(self):
+        try:
+            while True:
+                yield self.env.timeout(self.config.metrics_interval_s)
+                self.metric_samples.append(MetricSample(
+                    time_s=self.env.now,
+                    live_peers=len(self.live_sites()),
+                    epochs_done=len(self.epochs),
+                    samples_applied=sum(e.samples for e in self.epochs),
+                    egress_bytes_total=self.fabric.meter.total_bytes,
+                    active_flows=self.fabric.active_flows,
+                ))
+        except Interrupt:
+            return
+
+    def _result(self, duration_s: float) -> RunResult:
+        fabric, meter = self.fabric, self.fabric.meter
+        controller, injector = self.controller, self.injector
+        monitor, fleet = self.monitor, self.fleet
+        return RunResult(
+            config=self.config,
+            epochs=self.epochs,
+            duration_s=duration_s,
+            egress_bytes_by_class=dict(meter.by_class),
+            egress_bytes_by_site=dict(meter.egress_by_site),
+            egress_bytes_by_pair=dict(meter.by_pair),
+            averaging_bytes=meter.total_bytes,
+            data_ingress_bytes_by_site={
+                site: link.bill.ingress_bytes
+                for site, link in self.links.items()
+            },
+            monitor_samples=len(monitor.samples) if monitor is not None else 0,
+            interruptions=fleet.total_interruptions if fleet is not None else 0,
+            peak_active_flows=fabric.peak_active_flows,
+            state_syncs=self.state_syncs,
+            losses=self.losses,
+            metrics=self.metric_samples,
+            telemetry=self.tel if self.tracing else None,
+            rounds_retried=sum(e.rounds_retried for e in self.epochs),
+            degraded_epochs=sum(1 for e in self.epochs if e.degraded),
+            transfers_aborted=fabric.aborted_flows,
+            fault_counts=dict(injector.counts) if injector is not None else {},
+            uptime_intervals_by_site={
+                site: list(iv) for site, iv in self.uptime.intervals.items()
+                if iv
+            },
+            decisions=(
+                list(controller.decisions) if controller is not None else []
+            ),
+            control_actions=(
+                dict(controller.counts) if controller is not None else {}
+            ),
+        )
+
+
+def run_hivemind(config: HivemindRunConfig) -> RunResult:
+    """Simulate a full Hivemind training run; see module docstring."""
+    return _Run(config).run()
