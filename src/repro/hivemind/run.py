@@ -14,6 +14,7 @@ by class and by site, and the data-loading bill.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -365,18 +366,23 @@ class _Run:
     def __init__(self, config: HivemindRunConfig):
         self.config = config
         model = get_model(config.model)
-        tel = self.tel = resolve_telemetry(config.telemetry)
-        self.tracing = tel.enabled
-        env = self.env = Environment(telemetry=tel if self.tracing else None)
-        fabric = self.fabric = Fabric(env, config.topology, telemetry=tel)
-        streams = RandomStreams(config.seed)
-
         schedule = config.fault_schedule
         if schedule is not None and schedule.empty:
             schedule = None
         ft = config.fault_tolerance or (
             FaultTolerance() if schedule is not None else None
         )
+        # The injector rewrites paths in place; a private copy keeps the
+        # caller's topology, and so any rerun of this config, pristine.
+        topology = self.topology = (
+            copy.deepcopy(config.topology) if schedule is not None
+            else config.topology
+        )
+        tel = self.tel = resolve_telemetry(config.telemetry)
+        self.tracing = tel.enabled
+        env = self.env = Environment(telemetry=tel if self.tracing else None)
+        fabric = self.fabric = Fabric(env, topology, telemetry=tel)
+        streams = RandomStreams(config.seed)
 
         all_peers = list(config.peers) + list(config.standby_peers)
         sites = self.sites = [peer.site for peer in config.peers]
@@ -384,7 +390,7 @@ class _Run:
         self.rates = {
             peer.site: local_sps(peer.gpu, model) for peer in all_peers
         }
-        plan = form_groups(config.topology, all_sites)
+        plan = form_groups(topology, all_sites)
         averager = self.averager = MoshpitAverager(
             env,
             fabric,
@@ -421,7 +427,7 @@ class _Run:
             telemetry=tel,
             allow_forced=schedule is not None,
             zone_correlation=config.zone_correlation,
-            zone_of=lambda s: config.topology.get(s).zone,
+            zone_of=lambda s: topology.get(s).zone,
         ) if needs_fleet else None
 
         self.numeric = (_NumericState(config.numeric, all_sites, config.seed)
@@ -462,7 +468,7 @@ class _Run:
         injector: Optional[FaultInjector] = None
         if schedule is not None:
             injector = FaultInjector(
-                env, config.topology, fabric=fabric, schedule=schedule,
+                env, topology, fabric=fabric, schedule=schedule,
                 telemetry=tel, sites=sites,
             )
             if fleet is not None:
@@ -600,8 +606,7 @@ class _Run:
         mark the site synced and wake anyone waiting for a live peer."""
         donors = [s for s in self.all_sites if s in self.synced and s != site]
         if donors:
-            topology = self.config.topology
-            donor = min(donors, key=lambda d: topology.rtt_s(d, site))
+            donor = min(donors, key=lambda d: self.topology.rtt_s(d, site))
             with self.tel.span("state_sync", category="sync", track=site,
                                donor=donor):
                 yield self.fabric.transfer(donor, site, self.sync_bytes,

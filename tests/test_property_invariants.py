@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.controlplane import default_price_models
 from repro.core import granularity, speedup_from_scaling
-from repro.hivemind import compress, decompress
+from repro.faults import generate_schedule
+from repro.hivemind import (
+    HivemindRunConfig,
+    PeerSpec,
+    compress,
+    decompress,
+    run_hivemind,
+)
 from repro.network import (
     Fabric,
     GBPS,
     Site,
     Topology,
+    build_topology,
     classify_traffic,
     multi_stream_bps,
 )
@@ -183,3 +192,71 @@ def test_property_accumulated_gradient_equals_union_batch(splits, seed):
     union, __ = compute_gradient(model, features, labels)
     np.testing.assert_allclose(accumulator.average(), union, rtol=1e-9,
                                atol=1e-12)
+
+
+# --- whole training runs: accounting identities ------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    peers=st.integers(min_value=2, max_value=6),
+    locations=st.sampled_from([("gc:us",), ("gc:us", "gc:eu")]),
+    epochs=st.integers(min_value=1, max_value=4),
+    fault_seed=st.none() | st.integers(min_value=0, max_value=2 ** 16),
+    intensity=st.floats(min_value=0.5, max_value=4.0),
+    overlap=st.booleans(),
+)
+def test_property_run_accounting_identities(peers, locations, epochs,
+                                            fault_seed, intensity, overlap):
+    counts = {loc: 0 for loc in locations}
+    for index in range(peers):
+        counts[locations[index % len(locations)]] += 1
+    topology = build_topology(counts)
+    sites = list(topology.sites)
+    schedule = None
+    if fault_seed is not None:
+        schedule = generate_schedule(
+            sites, seed=fault_seed, intensity=intensity, horizon_s=1800.0,
+            zones={site: topology.get(site).zone for site in sites},
+        )
+    config = HivemindRunConfig(
+        model="conv", peers=[PeerSpec(site, "t4") for site in sites],
+        topology=topology, target_batch_size=4096, epochs=epochs,
+        overlap_communication=overlap, fault_schedule=schedule,
+        # Time-varying prices make the run record uptime windows.
+        price_models=default_price_models(locations),
+        monitor_interval_s=None,
+    )
+    result = run_hivemind(config)
+
+    total = sum(result.egress_bytes_by_pair.values())
+    assert sum(result.egress_bytes_by_class.values()) == pytest.approx(
+        total, rel=1e-12)
+    assert sum(result.egress_bytes_by_site.values()) == pytest.approx(
+        total, rel=1e-12)
+
+    assert len(result.epochs) == config.epochs
+    previous_transfer_s = 0.0
+    for index, epoch in enumerate(result.epochs):
+        assert epoch.index == index
+        if overlap:
+            # A round runs while the next epoch accumulates, and that
+            # epoch waits for it at its matchmaking boundary.
+            assert epoch.wall_s == pytest.approx(
+                max(epoch.calc_s + epoch.matchmaking_s, previous_transfer_s),
+                rel=1e-9)
+            previous_transfer_s = epoch.transfer_s
+        else:
+            assert epoch.wall_s == pytest.approx(
+                epoch.calc_s + epoch.matchmaking_s + epoch.transfer_s,
+                rel=1e-9)
+    assert sum(e.wall_s for e in result.epochs) <= (1 + 1e-9) * sum(
+        e.calc_s + e.matchmaking_s + e.transfer_s for e in result.epochs)
+
+    for windows in result.uptime_intervals_by_site.values():
+        for start, end in windows:
+            assert 0.0 <= start < end <= result.duration_s
+        for (__, end), (start, __) in zip(windows, windows[1:]):
+            assert end <= start
+
+    assert run_hivemind(config) == result
