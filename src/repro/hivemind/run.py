@@ -6,6 +6,11 @@ Moshpit averager, data loading from the object store, the DHT +
 monitor, and (optionally) a spot fleet with interruptions and a real
 numpy model trained with real gradients.
 
+All of that lives on one private run object, :class:`_Run`: it owns
+the roster (who trains right now, and the one way in and out of a run)
+and the epoch loop, and lands every averaging round through one method
+that books it on the epoch that launched it.
+
 The returned :class:`RunResult` carries everything the paper reports
 per experiment: global/local throughput, per-epoch calculation /
 matchmaking / transfer splits, the granularity metric, egress traffic
@@ -433,12 +438,14 @@ class _Run:
         self.numeric = (_NumericState(config.numeric, all_sites, config.seed)
                         if config.numeric is not None else None)
 
-        # -- DHT ---------------------------------------------------------------
+        # -- DHT --------------------------------------------------------------
         dht_network = DhtNetwork(env, fabric, telemetry=tel, fault_tolerance=ft)
-        self.dht_nodes = {site: DhtNode(dht_network, site) for site in all_sites}
+        self.dht_nodes = {
+            site: DhtNode(dht_network, site) for site in all_sites
+        }
         self.coordinator = self.dht_nodes[sites[0]]
 
-        # -- roster ------------------------------------------------------------
+        # -- roster -----------------------------------------------------------
         # VM uptime windows are only billed (and reported) under a control
         # plane or time-varying prices; an empty ledger records nothing.
         billed = config.policy is not None or bool(config.price_models)
@@ -480,7 +487,7 @@ class _Run:
             telemetry=tel if self.tracing else None,
         ) if config.monitor_interval_s is not None else None
 
-        # -- control plane -----------------------------------------------------
+        # -- control plane ----------------------------------------------------
         controller = self.controller = (
             self._controller() if config.policy is not None else None
         )
@@ -491,13 +498,10 @@ class _Run:
         )
 
         self.epochs: list[EpochStats] = []
-        self.losses: list[float] = []
         self.metric_samples: list[MetricSample] = []
         self.matchmaking_rng = streams.stream("matchmaking")
 
     def _controller(self):
-        """The control-plane loop, with each location's flat spot price
-        as its fallback market."""
         from ..controlplane import Controller
 
         config = self.config
@@ -527,7 +531,7 @@ class _Run:
             telemetry=self.tel,
         )
 
-    # -- roster ----------------------------------------------------------------
+    # -- roster ---------------------------------------------------------------
 
     def is_up(self, site: str) -> bool:
         """Whether the site's VM is running (always, without a fleet)."""
@@ -553,22 +557,17 @@ class _Run:
         self.synced.discard(site)
         self.averager.notify_peer_down(site)
 
-    def _leave_dht(self, site: str) -> None:
-        node = self.dht_nodes[site]
-        if node.alive:
-            node.leave()
-
     def deactivate(self, site: str) -> None:
         """Controller callback: park an active site."""
         self._leave(site)
-        self._leave_dht(site)
+        self.dht_nodes[site].leave()
 
     def on_fleet_event(self, event) -> None:
         site = event.site
         if not event.up:
             self._leave(site)
             if self.chaos:
-                self._leave_dht(site)
+                self.dht_nodes[site].leave()
         elif self.env.now > 0 and site in self.active:
             # A rejoin, not the initial boot; sites the controller
             # deactivated stay parked.
@@ -618,7 +617,7 @@ class _Run:
         rejoined, self.rejoined = self.rejoined, Event(self.env)
         rejoined.succeed()
 
-    # -- epoch loop ------------------------------------------------------------
+    # -- epoch loop -----------------------------------------------------------
 
     def run(self) -> RunResult:
         env = self.env
@@ -695,8 +694,6 @@ class _Run:
                 # epoch's round starts.
                 yield from self._land(*in_flight)
 
-            if loss_values:
-                self.losses.append(float(np.mean(loss_values)))
             stats = EpochStats(
                 index=epoch,
                 calc_s=calc_s,
@@ -705,7 +702,7 @@ class _Run:
                 wall_s=0.0,
                 samples=int(sum(contributed.values())),
                 live_peers=len(live),
-                loss=self.losses[-1] if loss_values else None,
+                loss=float(np.mean(loss_values)) if loss_values else None,
             )
             in_flight = (stats, live, env.now,
                          env.process(self.averager.run_round(contributions)))
@@ -722,8 +719,12 @@ class _Run:
             epoch_seconds.observe(stats.wall_s)
             live_gauge.set(len(live))
             samples_counter.inc(stats.samples)
-            env.process(self._publish_progress(epoch, len(live),
-                                               stats.samples))
+            env.process(self.coordinator.store(
+                PROGRESS_KEY,
+                {"epoch": epoch, "live_peers": len(live),
+                 "total_samples": stats.samples},
+                ttl_s=600.0,
+            ))
             if self.controller is not None:
                 self.controller.on_epoch_end(stats)
         if in_flight is not None:
@@ -796,13 +797,6 @@ class _Run:
             self.tel.tracer.add_span(phase, phase, site, start_s, end_s,
                                      epoch=epoch)
 
-    def _publish_progress(self, epoch: int, live: int, total_samples: int):
-        yield from self.coordinator.store(
-            PROGRESS_KEY,
-            {"epoch": epoch, "live_peers": live, "total_samples": total_samples},
-            ttl_s=600.0,
-        )
-
     def _log_metrics(self):
         try:
             while True:
@@ -838,7 +832,7 @@ class _Run:
             interruptions=fleet.total_interruptions if fleet is not None else 0,
             peak_active_flows=fabric.peak_active_flows,
             state_syncs=self.state_syncs,
-            losses=self.losses,
+            losses=[e.loss for e in self.epochs if e.loss is not None],
             metrics=self.metric_samples,
             telemetry=self.tel if self.tracing else None,
             rounds_retried=sum(e.rounds_retried for e in self.epochs),
