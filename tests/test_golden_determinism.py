@@ -21,12 +21,14 @@ from pathlib import Path
 from repro.cloud import InterruptionModel
 from repro.controlplane import get_policy
 from repro.experiments import (
+    ExperimentSpec,
     adaptive_market,
     chaos_schedule_for,
     generate,
     run_experiment,
     standby_peers_for,
 )
+from repro.hivemind import HivemindRunConfig, run_hivemind
 
 # --- Figure 2: single-site penalty study (A10-2), epochs=3 -------------
 
@@ -124,6 +126,44 @@ def test_run_results_bitwise_unchanged():
         assert repr(observed_bytes) == total_bytes, label
         observed_walls = [repr(e.wall_s) for e in result.run.epochs]
         assert observed_walls == epoch_walls, label
+
+
+# --- A 32-peer two-region fan-out, epochs=2 -----------------------------
+# Each averaging stage opens g(g-1) flows inside a 16-peer region group
+# at one instant, so this pins the fabric's admission and completion
+# ordering at a fan-out width the paper setups above never reach.
+
+FANOUT_SPEC = ExperimentSpec(
+    key="fanout-32", description="16x US + 16x EU T4",
+    groups=(("gc:us", 16, "t4"), ("gc:eu", 16, "t4")),
+)
+
+FANOUT_GOLDEN = {
+    "throughput": "663.8379034813433",
+    "peak_active_flows": 480,
+    "epochs": [
+        ("26.66666666666666", "5.0", "12.447304395604384"),
+        ("26.666666666666664", "5.0", "12.447304395604405"),
+    ],
+    "total_bytes": "49054643712.0",
+}
+
+
+def test_wide_fanout_run_bitwise_unchanged():
+    run = run_hivemind(HivemindRunConfig(
+        model="conv", peers=FANOUT_SPEC.peers(),
+        topology=FANOUT_SPEC.topology(), target_batch_size=32768,
+        epochs=2, seed=1, monitor_interval_s=None,
+        account_data_loading=True,
+    ))
+    assert repr(run.throughput_sps) == FANOUT_GOLDEN["throughput"]
+    assert run.peak_active_flows == FANOUT_GOLDEN["peak_active_flows"]
+    assert [
+        (repr(e.calc_s), repr(e.matchmaking_s), repr(e.transfer_s))
+        for e in run.epochs
+    ] == FANOUT_GOLDEN["epochs"]
+    assert repr(sum(run.egress_bytes_by_class.values())) == \
+        FANOUT_GOLDEN["total_bytes"]
 
 
 def test_repeat_runs_are_deterministic():
