@@ -25,6 +25,24 @@ identically-seeded runs produce byte-identical traces and results
 before and after the optimisation (see ``tests/test_fairness_incremental.py``
 and ``tests/test_golden_determinism.py``).
 
+A fan-out costs O(1) kernel queue entries rather than two per flow.
+Both rules rely on the kernel ordering its queue by ``(time, sequence)``
+alone, so every flow is still admitted, filled, metered and completed
+in the same order and at the same float times as with one entry each:
+
+* **Admission.** A transfer joins the newest pending admission timer
+  when its due time (``now + propagation``) equals that timer's and no
+  event has been queued since the timer was (the kernel's sequence
+  counter has not moved). Their timers would have fired back to back,
+  so one callback admits the batch in request order; any interleaved
+  event opens a new timer.
+* **Completion.** The flows found finished at one instant are metered
+  one by one, then their completion events are triggered through
+  :meth:`Environment.succeed_all`, one queue entry whose callbacks run
+  in the same order. A finished flow drops its completion event and
+  fill state, so a finished stage is freed by reference counting
+  rather than waiting for the cyclic collector.
+
 Every completed transfer is recorded in a :class:`TrafficMeter` so the
 cost model can later price egress per traffic class.
 """
@@ -71,7 +89,9 @@ class Flow:
     total_bytes: float
     remaining_bytes: float
     ceiling_bps: float
-    done: Event
+    #: Completion event; cleared when the flow finishes, which breaks
+    #: the ``flow.done`` <-> ``done.value`` reference cycle.
+    done: Optional[Event]
     tag: Optional[str] = None
     rate_bps: float = 0.0
     #: Extra shared resources (application channels) this flow uses.
@@ -238,6 +258,9 @@ class Fabric:
         self._rid_cache: dict[tuple, tuple] = {}
         #: True while a coalesced refill is scheduled for this instant.
         self._refill_pending = False
+        #: The newest pending admission timer as (due time, kernel
+        #: sequence counter right after it was queued, its flows).
+        self._admission: Optional[tuple[float, int, list[Flow]]] = None
         #: High-water mark of concurrent flows (reported by `repro bench`).
         self.peak_active_flows = 0
         #: Completion event -> flow, so :meth:`abort` can cancel a
@@ -324,8 +347,22 @@ class Fabric:
         if tel is not None:
             tel.processes_spawned += 1
         if propagation > 0:
-            timer = env.timeout(propagation)
-            timer.callbacks.append(lambda _event, _flow=flow: self._admit_flow(_flow))
+            due = env._now + propagation
+            admission = self._admission
+            if (
+                admission is not None
+                and admission[0] == due
+                and admission[1] == env._sequence
+            ):
+                # Its own timer would fire right after the batch's.
+                admission[2].append(flow)
+            else:
+                flows = [flow]
+                timer = env.timeout(propagation)
+                timer.callbacks.append(
+                    lambda _event, _flows=flows: self._admit_batch(_flows)
+                )
+                self._admission = (due, env._sequence, flows)
         else:
             env.defer(lambda _flow=flow: self._admit_flow(_flow))
         return done
@@ -413,9 +450,16 @@ class Fabric:
 
     # -- flow lifecycle ---------------------------------------------------
 
-    def _finish_flow(self, flow: Flow) -> None:
-        """Meter a delivered flow and fire its completion event."""
-        self._event_flows.pop(flow.done, None)
+    def _finish_flow(self, flow: Flow) -> Event:
+        """Meter a delivered flow and detach its completion event, which
+        the caller triggers with the flow."""
+        done = flow.done
+        assert done is not None
+        # ``done.value`` will be the flow, and the last fill's entries
+        # alias resource member sets: drop both cycles.
+        flow.done = None
+        flow._fill_entries = None
+        self._event_flows.pop(done, None)
         self.meter.record(flow.src, flow.dst, flow.total_bytes)
         if self._tracer is not None:
             # One cache lookup per flow: (src, dst, tag) resolves the
@@ -445,14 +489,22 @@ class Fabric:
         if tel is not None:
             # Close out the flow's logical process.
             tel.processes_finished += 1
-        flow.done.succeed(flow)
+        return done
+
+    def _admit_batch(self, flows: list[Flow]) -> None:
+        """Admit the flows of one admission timer, in request order."""
+        admission = self._admission
+        if admission is not None and admission[2] is flows:
+            self._admission = None
+        for flow in flows:
+            self._admit_flow(flow)
 
     def _admit_flow(self, flow: Flow) -> None:
         """Flow admission after propagation delay."""
         if flow.aborted:
             return
         if flow.remaining_bytes <= 0:
-            self._finish_flow(flow)
+            self._finish_flow(flow).succeed(flow)
             return
         self._advance_clock()
         self._register_flow(flow)
@@ -665,8 +717,10 @@ class Fabric:
                 flow.rate_bps * 1e-6 / 8.0,
             )
         ]
+        done = []
         for flow in finished:
             self._unregister_flow(flow)
             flow.remaining_bytes = 0.0
-            self._finish_flow(flow)
+            done.append(self._finish_flow(flow))
+        self.env.succeed_all(done, finished)
         self._mark_dirty()

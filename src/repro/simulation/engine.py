@@ -15,6 +15,14 @@ The kernel is intentionally minimal but complete enough for the study:
 
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
+The queue orders entries by ``(time, sequence)`` alone, so a run of
+same-instant events with consecutive sequence numbers can share one
+queue entry without changing what runs when:
+:meth:`Environment.succeed_all` triggers a list of events through a
+single entry that runs their callbacks in list order (the fabric
+completes a fan-out's finished flows this way), and a subsystem may
+attach several callbacks to one timer when nothing else was queued
+between them (the fabric's batched flow admission).
 
 An :class:`Environment` optionally carries a telemetry sink (any object
 implementing the hook protocol of
@@ -141,6 +149,26 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._queue_event(self, delay=delay)
+
+
+class _Batch(Event):
+    """One queue entry standing for several already-triggered events.
+
+    Firing it runs each member's callbacks in list order, exactly as
+    consecutive queue entries at this instant would have.
+    """
+
+    def __init__(self, env: "Environment", events: list[Event]):
+        super().__init__(env)
+        self._ok = True
+        self._value = None
+        self._events = events
+        env._queue_event(self)
+
+    def _run_callbacks(self) -> None:
+        self.callbacks = None
+        for event in self._events:
+            event._run_callbacks()
 
 
 class _Initialize(Event):
@@ -385,6 +413,31 @@ class Environment:
         event.callbacks.append(lambda _event: fn())
         self._queue_event(event)
 
+    def succeed_all(self, events: list[Event], values: list[Any]) -> None:
+        """Trigger each of ``events`` successfully with the matching
+        entry of ``values``, through one queue entry.
+
+        Equivalent to ``event.succeed(value)`` for each pair in order:
+        the per-event entries would have had consecutive sequence
+        numbers at this instant, and anything their callbacks queue
+        sorts after all of them either way. Each event is triggered
+        (its value readable) on return; its callbacks run in list order
+        when the entry fires. ``run(until=member)`` therefore returns
+        only after the remaining members' callbacks have run too.
+
+        Raises :class:`SimulationError`, triggering nothing, when any
+        event is already triggered. The events must be distinct; an
+        empty list queues nothing.
+        """
+        for event in events:
+            if event._value is not _PENDING:
+                raise SimulationError("event already triggered")
+        for event, value in zip(events, values, strict=True):
+            event._ok = True
+            event._value = value
+        if events:
+            _Batch(self, events)
+
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
@@ -429,7 +482,9 @@ class Environment:
         * ``until`` is ``None`` — run until no events remain.
         * ``until`` is a number — run until the clock reaches it.
         * ``until`` is an :class:`Event` — run until it fires and return
-          its value (raising the exception if it failed).
+          its value (raising the exception if it failed). An event
+          triggered through :meth:`succeed_all` returns once its whole
+          batch has run.
         """
         # The three loops below are `self.step()` inlined: the pop /
         # dispatch pair runs once per scheduled event, so the method

@@ -186,3 +186,54 @@ def test_departures_trigger_exact_redistribution():
         env.run(until=env.peek())
     assert len(fabric._flows) == 1
     assert_rates_match(env, fabric)
+
+
+@pytest.mark.parametrize("seed", [5, 11, 2024])
+def test_incremental_matches_reference_under_batched_fan_outs(seed):
+    # Same-instant fan-outs share admission timers unless another event
+    # is queued between two transfers; equal sizes make flows finish
+    # together, so completions are batched too. Some fan-outs queue a
+    # no-op timer (same instant or shortly after) between transfers.
+    rng = random.Random(seed)
+    topo = mesh_topology(n_sites=5)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    sites = [f"s{i}" for i in range(5)]
+
+    pending = []
+    joined = 0
+
+    def fan_out(src, flows, gaps):
+        nonlocal joined
+        for (dst, nbytes), gap in zip(flows, gaps):
+            before = env._sequence
+            pending.append(fabric.transfer(src, dst, nbytes))
+            joined += env._sequence == before
+            if gap is not None:
+                env.timeout(gap)
+
+    for _ in range(10):
+        src = rng.choice(sites)
+        others = [site for site in sites if site != src]
+        size = rng.uniform(5e6, 80e6)
+        flows = [
+            (rng.choice(others), size if rng.random() < 0.6
+             else rng.uniform(1e6, 100e6))
+            for _ in range(rng.randint(2, 8))
+        ]
+        interleave = rng.random() < 0.4
+        gaps = [rng.choice([0.0, 0.01]) if interleave else None
+                for _ in flows]
+        timer = env.timeout(rng.uniform(0.0, 2.0))
+        timer.callbacks.append(
+            lambda _event, args=(src, flows, gaps): fan_out(*args))
+
+    checks = 0
+    while env.peek() != float("inf"):
+        env.run(until=env.peek())
+        if fabric._flows and at_complete_instant(env, fabric):
+            assert_rates_match(env, fabric)
+            checks += 1
+    assert checks > 10, "property never exercised"
+    assert joined > 0, "no transfer joined an admission batch"
+    assert all(event.processed for event in pending)

@@ -1,8 +1,10 @@
 """Tests for the flow-level fabric: fair sharing, TCP caps, metering."""
 
+import gc
+
 import pytest
 
-from repro.network import Fabric, GBPS, Site, Topology
+from repro.network import Fabric, Flow, GBPS, Site, Topology, TransferAborted
 from repro.simulation import Environment
 from repro.telemetry import Telemetry
 
@@ -262,3 +264,99 @@ def test_flows_close_their_processes(capture_processes):
     assert fabric.aborted_flows == 1
     assert tel.processes_spawned == tel.processes_finished == 3
     assert tel.processes_failed == 0
+
+
+# -- batched admission and completion -------------------------------------
+
+
+def hub_topology(n_leaves=20, rtt=0.02):
+    """A hub site with ``n_leaves`` leaves, every hub path the same delay."""
+    topo = Topology()
+    for name in ["hub"] + [f"leaf{i}" for i in range(n_leaves)]:
+        topo.add_site(
+            Site(name=name, provider="gc", zone="z", region="r", continent="US",
+                 tcp_window_bytes=64e6, nic_bps=1 * GBPS)
+        )
+    for i in range(n_leaves):
+        topo.set_path("hub", f"leaf{i}", rtt_s=rtt)
+    return topo
+
+
+def run_fan_out(interleave=False, abort=None, skip=None, n_flows=20):
+    """Fan out ``n_flows`` distinct-size flows from the hub at t=0.
+
+    ``interleave`` queues a far-future no-op timer between transfers;
+    ``abort`` cancels that flow before it is admitted; ``skip`` leaves
+    that flow out. Returns the run's telemetry, fabric, events and
+    (flow index, repr(completion time)) in completion-callback order.
+    """
+    tel = Telemetry()
+    env = Environment(telemetry=tel)
+    fabric = Fabric(env, hub_topology(n_flows))
+    order = []
+    dones = {}
+    for i in range(n_flows):
+        if i == skip:
+            continue
+        done = fabric.transfer("hub", f"leaf{i}", (i + 1) * 5e6)
+        done.callbacks.append(
+            lambda ev, i=i: order.append((i, repr(env.now))) if ev.ok else None)
+        dones[i] = done
+        if interleave:
+            env.timeout(1e6)
+    scheduled = tel.events_scheduled
+    if abort is not None:
+        assert fabric.abort(dones[abort])
+    env.run(until=10.0)
+    return scheduled, fabric, dones, order
+
+
+def test_fan_out_queues_one_admission_timer():
+    scheduled, fabric, dones, order = run_fan_out()
+    assert scheduled == 1
+    assert fabric.peak_active_flows == 20
+    assert sorted(i for i, __ in order) == list(range(20))
+
+
+def test_interleaved_events_keep_one_timer_per_flow_and_same_result():
+    scheduled, __, __, order = run_fan_out(interleave=True)
+    # One admission timer per flow plus the 20 interleaved no-ops.
+    assert scheduled == 40
+    __, __, __, batched = run_fan_out()
+    assert order == batched
+    assert [i for i, __ in order] == list(range(20))
+
+
+def test_abort_inside_admission_batch_spares_siblings():
+    __, fabric, dones, order = run_fan_out(abort=7)
+    assert fabric.aborted_flows == 1
+    assert fabric.peak_active_flows == 19
+    assert not dones[7].ok
+    assert isinstance(dones[7].value, TransferAborted)
+    assert 7 not in [i for i, __ in order]
+    __, __, __, without = run_fan_out(skip=7)
+    assert order == without
+    assert fabric.meter.total_bytes == sum(
+        (i + 1) * 5e6 for i in range(20) if i != 7)
+
+
+def test_finished_flows_are_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        fabric = Fabric(env, hub_topology(8))
+        # Two stages: the second starts when the first has finished.
+        first = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
+        env.run(env.all_of(first))
+        del first
+        live = [obj for obj in gc.get_objects() if isinstance(obj, Flow)]
+        assert live == []
+        second = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
+        env.run(env.all_of(second))
+        assert [flow.done for flow in (ev.value for ev in second)] == [None] * 8
+        del second
+        live = [obj for obj in gc.get_objects() if isinstance(obj, Flow)]
+        assert live == []
+    finally:
+        gc.enable()

@@ -307,3 +307,96 @@ def test_yielding_already_processed_event_resumes():
         return value
 
     assert env.run(env.process(proc())) == "ready"
+
+
+def _batch_scenario(trigger):
+    """Log every callback of a same-instant trigger of five events.
+
+    Member callbacks queue same-instant events of their own; a process
+    and an ``AllOf`` wait on members. ``trigger(env, events, values)``
+    triggers the members at t=1.
+    """
+    env = Environment()
+    log = []
+    events = [env.event() for _ in range(5)]
+    for index, event in enumerate(events):
+        event.callbacks.append(
+            lambda ev, index=index: log.append(("member", index, ev.value)))
+    # A member callback that queues a same-instant event.
+    events[1].callbacks.append(
+        lambda _ev: env.event().succeed().callbacks.append(
+            lambda _e: log.append(("queued", 1))))
+
+    def waiter():
+        value = yield events[2]
+        log.append(("resumed", value))
+        return value
+
+    process = env.process(waiter())
+    process.callbacks.append(lambda _p: log.append(("process", "done")))
+    both = env.all_of([events[0], events[3]])
+    both.callbacks.append(lambda ev: log.append(("all_of", sorted(ev.value))))
+
+    def kick():
+        yield env.timeout(1.0)
+        trigger(env, events, [f"v{i}" for i in range(5)])
+        log.append(("triggered", [event.triggered for event in events]))
+
+    env.process(kick())
+    env.run()
+    return log
+
+
+def test_succeed_all_matches_sequential_succeed():
+    def sequential(env, events, values):
+        for event, value in zip(events, values):
+            event.succeed(value)
+
+    def batched(env, events, values):
+        env.succeed_all(events, values)
+
+    log = _batch_scenario(batched)
+    assert log == _batch_scenario(sequential)
+    members = [i for i, entry in enumerate(log) if entry[0] == "member"]
+    assert [log[i][1] for i in members] == [0, 1, 2, 3, 4]
+    # Events queued by the members' callbacks (the same-instant event,
+    # the process's completion, the AllOf) run after the whole batch.
+    for kind in ("queued", "process", "all_of"):
+        (position,) = [i for i, entry in enumerate(log) if entry[0] == kind]
+        assert position > members[-1], kind
+    # The waiting process itself resumes inside its member's callbacks.
+    assert members[2] < log.index(("resumed", "v2")) < members[3]
+    assert ("triggered", [True] * 5) in log
+
+
+def test_succeed_all_uses_one_queue_entry():
+    env = Environment()
+    events = [env.event() for _ in range(4)]
+    env.succeed_all(events, [1, 2, 3, 4])
+    assert env._sequence == 1
+    assert [event.value for event in events] == [1, 2, 3, 4]
+    assert not any(event.processed for event in events)
+    env.succeed_all([], [])
+    assert env._sequence == 1
+    env.run()
+    assert all(event.processed for event in events)
+
+
+def test_succeed_all_rejects_triggered_events():
+    env = Environment()
+    first, second = env.event(), env.event()
+    second.succeed("early")
+    with pytest.raises(SimulationError):
+        env.succeed_all([first, second], [1, 2])
+    assert not first.triggered
+    assert second.value == "early"
+
+
+def test_run_until_member_finishes_the_batch():
+    env = Environment()
+    events = [env.event() for _ in range(3)]
+    env.succeed_all(events, ["a", "b", "c"])
+    later = env.timeout(0.0)
+    assert env.run(until=events[0]) == "a"
+    assert all(event.processed for event in events)
+    assert not later.processed
