@@ -121,17 +121,14 @@ class MoshpitAverager:
                 if cap is not None:
                     fabric.define_channel(f"avg-out:{site}", cap)
                     fabric.define_channel(f"avg-in:{site}", cap)
-        self._capped_sites = set(stream_caps_bps)
+        #: Each capped site's sending and receiving channel tuples.
+        self._out_channels = {s: (f"avg-out:{s}",) for s in stream_caps_bps}
+        self._in_channels = {s: (f"avg-in:{s}",) for s in stream_caps_bps}
 
     # -- helpers -----------------------------------------------------------
 
     def _channels(self, src: str, dst: str) -> tuple[str, ...]:
-        channels = []
-        if src in self._capped_sites:
-            channels.append(f"avg-out:{src}")
-        if dst in self._capped_sites:
-            channels.append(f"avg-in:{dst}")
-        return tuple(channels)
+        return self._out_channels.get(src, ()) + self._in_channels.get(dst, ())
 
     def _send(self, src: str, dst: str, nbytes: float) -> Event:
         return self.fabric.transfer(

@@ -15,15 +15,22 @@ starts or finishes, which is the standard fluid approximation for TCP
 fair sharing.
 
 Rebalancing is incremental: resource membership is maintained as flows
-start and finish (rather than rebuilt from every active flow), static
-resource capacities and resource-id tuples are cached, and all flow
-arrivals within one simulated instant are coalesced into a single
+start and finish (rather than rebuilt from every active flow), and all
+flow arrivals within one simulated instant are coalesced into a single
 progressive-filling pass scheduled at the end of the instant via
 :meth:`Environment.defer`. The filling arithmetic itself is unchanged —
 the same global increment sequence is applied in the same order — so
 identically-seeded runs produce byte-identical traces and results
 before and after the optimisation (see ``tests/test_fairness_incremental.py``
 and ``tests/test_golden_determinism.py``).
+
+Each shared resource is one persistent :class:`_ResourceState`, created
+the first time a route crosses it and kept for the fabric's lifetime.
+A resolved route holds the tuple of its resources' states, and every
+flow on the route carries that tuple, so admission, the fill and
+completion reach a resource without a string-keyed lookup. The state
+caches the resource's capacity (refreshed when the topology version
+moves) and holds the fill's per-pass ``remaining`` and ``count``.
 
 A fan-out costs O(1) kernel queue entries rather than two per flow.
 Both rules rely on the kernel ordering its queue by ``(time, sequence)``
@@ -39,9 +46,9 @@ in the same order and at the same float times as with one entry each:
 * **Completion.** The flows found finished at one instant are metered
   one by one, then their completion events are triggered through
   :meth:`Environment.succeed_all`, one queue entry whose callbacks run
-  in the same order. A finished flow drops its completion event and
-  fill state, so a finished stage is freed by reference counting
-  rather than waiting for the cyclic collector.
+  in the same order. A finished flow drops its completion event, so a
+  finished stage is freed by reference counting rather than waiting
+  for the cyclic collector.
 
 Every completed transfer is recorded in a :class:`TrafficMeter` so the
 cost model can later price egress per traffic class.
@@ -93,35 +100,24 @@ class Flow:
     #: the ``flow.done`` <-> ``done.value`` reference cycle.
     done: Optional[Event]
     tag: Optional[str] = None
-    rate_bps: float = 0.0
-    #: Extra shared resources (application channels) this flow uses.
-    channels: tuple[str, ...] = ()
     #: Sim time the transfer was requested (for telemetry durations).
     started_s: float = 0.0
+    #: The fabric's persistent state of every shared resource this flow
+    #: occupies, taken from its route (one tuple per (src, dst, channels)).
+    states: tuple[_ResourceState, ...] = ()
+    rate_bps: float = 0.0
     #: Open telemetry span, when tracing is enabled.
     span: Optional[object] = None
-    #: Shared-resource ids this flow occupies, resolved once at
-    #: creation (the fabric interns the tuple per (src, dst, channels)).
-    resource_ids: tuple[str, ...] = ()
     #: Set by :meth:`Fabric.abort`; admission checks it so a flow
     #: cancelled mid-propagation never starts.
     aborted: bool = False
     # Working state of the progressive-filling pass (_assign_rates).
     _fill_headroom: float = field(default=0.0, init=False, repr=False)
     _fill_active: bool = field(default=False, init=False, repr=False)
-    _fill_entries: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
     def resources(self) -> tuple[str, ...]:
-        if self.resource_ids:
-            return self.resource_ids
-        if self.src.name == self.dst.name:
-            return self.channels
-        return (
-            f"egress:{self.src.name}",
-            f"ingress:{self.dst.name}",
-            f"path:{'|'.join(sorted((self.src.name, self.dst.name)))}",
-        ) + self.channels
+        return tuple(state.rid for state in self.states)
 
 
 class TrafficMeter:
@@ -157,33 +153,26 @@ class TrafficMeter:
         self.egress_by_site.clear()
 
 
-@dataclass
 class _ResourceState:
-    """A shared resource: its static capacity and current member flows.
+    """One shared resource: the only object the fabric keeps for it.
 
-    Membership is maintained incrementally by
-    :meth:`Fabric._register_flow` / :meth:`Fabric._unregister_flow`;
-    the capacity is resolved from the topology once and cached.
+    Created once per resource id and kept for the fabric's lifetime;
+    every route that crosses the resource holds this same object, so a
+    flow reaches it without a string-keyed lookup. ``members`` is
+    maintained incrementally by :meth:`Fabric._register_flow` /
+    :meth:`Fabric._unregister_flow`; ``capacity`` is resolved from the
+    topology and refreshed when its version moves. ``remaining`` and
+    ``count`` are the working state of one progressive-filling pass.
     """
 
-    capacity: float
-    members: set = field(default_factory=set)
+    __slots__ = ("rid", "capacity", "members", "remaining", "count")
 
-
-class _FillEntry:
-    """Per-pass working state of one shared resource.
-
-    ``members`` aliases the persistent :class:`_ResourceState` set (it
-    is never mutated during a pass — saturation is tracked with
-    per-flow flags and the unsaturated-member ``count``).
-    """
-
-    __slots__ = ("remaining", "count", "members")
-
-    def __init__(self, remaining: float, count: int, members: set):
-        self.remaining = remaining
-        self.count = count
-        self.members = members
+    def __init__(self, capacity: float, rid: str = ""):
+        self.rid = rid
+        self.capacity = capacity
+        self.members: set[Flow] = set()
+        self.remaining = 0.0
+        self.count = 0
 
 
 class Fabric:
@@ -244,17 +233,17 @@ class Fabric:
         self._last_update = env.now
         self._generation = 0
         self._channel_caps: dict[str, float] = {}
-        #: Shared resources with at least one member flow, maintained
-        #: incrementally as flows start and finish.
+        #: Every shared resource a route has used, one persistent state
+        #: each; never dropped, so a resource is always one object.
+        self._states: dict[str, _ResourceState] = {}
+        #: The states with at least one member flow, in the order they
+        #: gained their first member; maintained as flows start and
+        #: finish.
         self._resources: dict[str, _ResourceState] = {}
-        #: Static resource capacities (topology/channel lookups are the
-        #: old per-rebalance hot spot); invalidated when the topology
-        #: version moves or a channel is redefined.
-        self._capacity_cache: dict[str, float] = {}
         self._topology_version = topology._version
         #: Per-(src, dst, channels) route cache: (src_site, dst_site,
-        #: path, propagation_s, resource_ids, channel_ids). Cleared
-        #: whenever the topology version moves.
+        #: path, propagation_s, states, ceiling for one stream under the
+        #: fabric's cap). Cleared whenever the topology version moves.
         self._rid_cache: dict[tuple, tuple] = {}
         #: True while a coalesced refill is scheduled for this instant.
         self._refill_pending = False
@@ -278,9 +267,7 @@ class Fabric:
         if capacity_bps <= 0:
             raise ValueError("channel capacity must be positive")
         self._channel_caps[name] = capacity_bps
-        rid = f"channel:{name}"
-        self._capacity_cache[rid] = capacity_bps
-        state = self._resources.get(rid)
+        state = self._states.get(f"channel:{name}")
         if state is not None:
             state.capacity = capacity_bps
 
@@ -308,27 +295,21 @@ class Fabric:
         entry = self._rid_cache.get((src, dst, channels))
         if entry is None:
             entry = self._resolve_transfer(src, dst, channels)
-        src_site, dst_site, path, propagation, resource_ids, channel_ids = entry
-        if stream_cap_bps is None:
-            stream_cap_bps = self.stream_cap_bps
-        ceiling = effective_ceiling_bps(path, streams, stream_cap_bps)
+        src_site, dst_site, path, propagation, states, ceiling = entry
+        if streams != 1 or stream_cap_bps is not None:
+            if stream_cap_bps is None:
+                stream_cap_bps = self.stream_cap_bps
+            ceiling = effective_ceiling_bps(path, streams, stream_cap_bps)
         if self.jitter > 0:
             if self._rng is None:
                 self._rng = np.random.default_rng(0)
             ceiling *= float(np.exp(self._rng.normal(0.0, self.jitter)))
-        done = Event(self.env)
+        env = self.env
+        done = Event(env)
+        total = float(nbytes)
         flow = Flow(
-            flow_id=next(self._flow_ids),
-            src=src_site,
-            dst=dst_site,
-            total_bytes=float(nbytes),
-            remaining_bytes=float(nbytes),
-            ceiling_bps=ceiling,
-            done=done,
-            tag=tag,
-            channels=channel_ids,
-            started_s=self.env.now,
-            resource_ids=resource_ids,
+            next(self._flow_ids), src_site, dst_site, total, total, ceiling,
+            done, tag, env._now, states,
         )
         self._event_flows[done] = flow
         if self._tracer is not None and nbytes >= self.trace_min_bytes:
@@ -337,9 +318,8 @@ class Fabric:
                 track = self._track_names[src_site.name] = f"net:{src_site.name}"
             flow.span = self._tracer.begin(
                 tag or "transfer", category="transfer", track=track,
-                dst=dst_site.name, bytes=flow.total_bytes,
+                dst=dst_site.name, bytes=total,
             )
-        env = self.env
         tel = env._telemetry
         # Admit the flow via a bare timer callback: no generator, no
         # ``_Initialize`` event and no process-completion event per
@@ -371,9 +351,10 @@ class Fabric:
         self, src: str, dst: str, channels: tuple[str, ...]
     ) -> tuple:
         """Resolve and cache everything static about a transfer route:
-        endpoint sites, path spec, one-way propagation delay, and the
-        interned resource-id tuples. Channel names are validated here,
-        once per distinct (src, dst, channels) combination."""
+        endpoint sites, path spec, one-way propagation delay, the
+        persistent states of its resources and its default ceiling.
+        Channel names are validated here, once per distinct (src, dst,
+        channels) combination."""
         src_site = self.topology.get(src)
         dst_site = self.topology.get(dst)
         path = self.topology.path(src, dst)
@@ -389,9 +370,19 @@ class Fabric:
                 f"ingress:{dst}",
                 f"path:{'|'.join(sorted((src, dst)))}",
             ) + channel_ids
+        states = []
+        # A channel named twice is one resource: the fill decrements a
+        # state once per entry in ``flow.states``.
+        for rid in dict.fromkeys(resource_ids):
+            state = self._states.get(rid)
+            if state is None:
+                state = self._states[rid] = _ResourceState(
+                    self._resource_capacity(rid), rid
+                )
+            states.append(state)
         entry = (
-            src_site, dst_site, path, path.rtt_s / 2.0,
-            resource_ids, channel_ids,
+            src_site, dst_site, path, path.rtt_s / 2.0, tuple(states),
+            effective_ceiling_bps(path, 1, self.stream_cap_bps),
         )
         self._rid_cache[(src, dst, channels)] = entry
         return entry
@@ -455,10 +446,8 @@ class Fabric:
         the caller triggers with the flow."""
         done = flow.done
         assert done is not None
-        # ``done.value`` will be the flow, and the last fill's entries
-        # alias resource member sets: drop both cycles.
+        # ``done.value`` will be the flow: drop the cycle.
         flow.done = None
-        flow._fill_entries = None
         self._event_flows.pop(done, None)
         self.meter.record(flow.src, flow.dst, flow.total_bytes)
         if self._tracer is not None:
@@ -496,8 +485,21 @@ class Fabric:
         admission = self._admission
         if admission is not None and admission[2] is flows:
             self._admission = None
+        # Same as _admit_flow per flow: after the first registration, a
+        # clock advance at this instant is a no-op and the generation is
+        # only ever compared for equality.
+        dirty = False
         for flow in flows:
-            self._admit_flow(flow)
+            if flow.aborted:
+                continue
+            if flow.remaining_bytes <= 0:
+                self._finish_flow(flow).succeed(flow)
+                continue
+            if not dirty:
+                dirty = True
+                self._advance_clock()
+                self._mark_dirty()
+            self._register_flow(flow)
 
     def _admit_flow(self, flow: Flow) -> None:
         """Flow admission after propagation delay."""
@@ -512,32 +514,26 @@ class Fabric:
 
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""
-        self._flows.add(flow)
-        if len(self._flows) > self.peak_active_flows:
-            self.peak_active_flows = len(self._flows)
+        flows = self._flows
+        flows.add(flow)
+        if len(flows) > self.peak_active_flows:
+            self.peak_active_flows = len(flows)
         resources = self._resources
-        for rid in flow.resource_ids:
-            state = resources.get(rid)
-            if state is None:
-                state = resources[rid] = _ResourceState(self._capacity_of(rid))
-            state.members.add(flow)
+        for state in flow.states:
+            members = state.members
+            if not members:
+                resources[state.rid] = state
+            members.add(flow)
 
     def _unregister_flow(self, flow: Flow) -> None:
         """Remove a finished flow from the active set and its resources."""
         self._flows.discard(flow)
         resources = self._resources
-        for rid in flow.resource_ids:
-            state = resources.get(rid)
-            if state is not None:
-                state.members.discard(flow)
-                if not state.members:
-                    del resources[rid]
-
-    def _capacity_of(self, rid: str) -> float:
-        cap = self._capacity_cache.get(rid)
-        if cap is None:
-            cap = self._capacity_cache[rid] = self._resource_capacity(rid)
-        return cap
+        for state in flow.states:
+            members = state.members
+            members.discard(flow)
+            if not members:
+                del resources[state.rid]
 
     def _mark_dirty(self) -> None:
         """Invalidate outstanding completion timers and queue a refill.
@@ -576,10 +572,10 @@ class Fabric:
 
     def _refresh_topology_caches(self) -> None:
         self._topology_version = self.topology._version
-        self._capacity_cache.clear()
         self._rid_cache.clear()
-        for rid, state in self._resources.items():
-            state.capacity = self._capacity_of(rid)
+        # Idle states too: a flow still propagating may hold one.
+        for rid, state in self._states.items():
+            state.capacity = self._resource_capacity(rid)
 
     def _assign_rates(self) -> None:
         """Progressive filling over the incrementally-maintained resources.
@@ -591,21 +587,23 @@ class Fabric:
         the reference algorithm — ``capacity / 1`` and ``capacity -
         increment * 1`` are bitwise-exact identities). Only the data
         structures differ: membership sets are reused rather than
-        rebuilt, and saturation freezes flows via flags and unsaturated
-        member counts instead of set discards across every resource.
+        rebuilt, each resource's fill state (``remaining``, ``count``)
+        lives on its persistent state, reached from a flow through
+        ``flow.states``, and saturation freezes flows via flags and
+        unsaturated member counts instead of set discards across every
+        resource.
         """
         flows = self._flows
         if not flows:
             return
-        resources = self._resources
         if len(flows) == 1:
             # One flow: its rate is the min of its ceiling and its
             # resources' capacities (a single fill round of the general
             # algorithm, with ``0.0 + x == x`` for the accumulation).
             (flow,) = flows
             rate = flow.ceiling_bps
-            for rid in flow.resource_ids:
-                capacity = resources[rid].capacity
+            for state in flow.states:
+                capacity = state.capacity
                 if capacity < rate:
                     rate = capacity
             flow.rate_bps = rate
@@ -614,14 +612,10 @@ class Fabric:
             flow.rate_bps = 0.0
             flow._fill_headroom = flow.ceiling_bps
             flow._fill_active = True
-            flow._fill_entries = []
-        entries = []
-        for state in resources.values():
-            members = state.members
-            entry = _FillEntry(state.capacity, len(members), members)
-            entries.append(entry)
-            for flow in members:
-                flow._fill_entries.append(entry)
+        entries = list(self._resources.values())
+        for entry in entries:
+            entry.remaining = entry.capacity
+            entry.count = len(entry.members)
         active = list(flows)
         while active:
             increment = active[0]._fill_headroom
@@ -660,7 +654,7 @@ class Fabric:
                 # Numerical safety: freeze everything to guarantee progress.
                 break
             for flow in newly:
-                for entry in flow._fill_entries:
+                for entry in flow.states:
                     entry.count -= 1
             active = [f for f in active if f._fill_active]
             entries = [e for e in entries if e.count > 0]

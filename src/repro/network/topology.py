@@ -138,8 +138,9 @@ class Topology:
     _overrides: dict[frozenset, PathSpec] = field(default_factory=dict)
     #: Resolved-path memo: :meth:`path` is on the fabric's per-transfer
     #: hot path and sites/overrides are immutable once a simulation
-    #: starts, so each ordered pair resolves to its (frozen) PathSpec
-    #: exactly once. Cleared by :meth:`set_path`.
+    #: starts, so each pair resolves to its (frozen) PathSpec exactly
+    #: once, cached under both orders since paths are symmetric.
+    #: Cleared by :meth:`set_path`.
     _path_cache: dict[tuple[str, str], PathSpec] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -185,7 +186,7 @@ class Topology:
         spec = self._overrides.get(frozenset((a, b)))
         if spec is None:
             spec = self._default_path(self.sites[a], self.sites[b])
-        self._path_cache[(a, b)] = spec
+        self._path_cache[(a, b)] = self._path_cache[(b, a)] = spec
         return spec
 
     def _default_path(self, src: Site, dst: Site) -> PathSpec:

@@ -237,3 +237,51 @@ def test_incremental_matches_reference_under_batched_fan_outs(seed):
     assert checks > 10, "property never exercised"
     assert joined > 0, "no transfer joined an admission batch"
     assert all(event.processed for event in pending)
+
+
+@pytest.mark.parametrize("seed", [4, 17, 303])
+def test_incremental_matches_reference_under_topology_changes(seed):
+    # Live path changes between arrivals on a few reused routes. Some
+    # changes land while a flow is still propagating, so its route (and
+    # its resource states) was resolved under the old topology.
+    rng = random.Random(seed)
+    topo = mesh_topology(n_sites=4)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    sites = ["s0", "s1", "s2", "s3"]
+    routes = [tuple(rng.sample(sites, 2)) for _ in range(4)]
+    pending = []
+    in_flight_changes = 0
+
+    def change(a, b, capacity, rtt):
+        nonlocal in_flight_changes
+        in_flight_changes += fabric._admission is not None
+        topo.set_path(a, b, capacity_bps=capacity, rtt_s=rtt)
+        fabric.on_topology_change()
+
+    def arrival(src, dst, nbytes):
+        pending.append(fabric.transfer(src, dst, nbytes))
+
+    for _ in range(30):
+        delay = rng.uniform(0.0, 10.0)
+        src, dst = rng.choice(routes)
+        args = (src, dst, rng.uniform(1e6, 30e6))
+        env.timeout(delay).callbacks.append(lambda _e, a=args: arrival(*a))
+        if rng.random() < 0.5:
+            a, b = rng.sample(sites, 2)
+            args = (a, b, rng.choice([100, 300, 600]) * MBPS,
+                    rng.choice([None, 0.02, 0.08]))
+            env.timeout(delay + rng.choice([0.0, 0.005, 0.3])).callbacks.append(
+                lambda _e, a=args: change(*a))
+
+    checks = 0
+    while env.peek() != float("inf"):
+        env.run(until=env.peek())
+        if fabric._flows and at_complete_instant(env, fabric):
+            assert_rates_match(env, fabric)
+            for flow in fabric._flows:
+                assert all(fabric._states[s.rid] is s for s in flow.states)
+            checks += 1
+    assert checks > 10, "property never exercised"
+    assert in_flight_changes > 0, "no change landed during propagation"
+    assert all(event.processed for event in pending)

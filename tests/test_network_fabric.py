@@ -360,3 +360,91 @@ def test_finished_flows_are_freed_without_the_cycle_collector():
         assert live == []
     finally:
         gc.enable()
+
+
+# -- persistent resource states -------------------------------------------
+
+
+def test_resource_states_persist_across_stages():
+    env = Environment()
+    fabric = Fabric(env, hub_topology(8))
+    first = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
+    env.run(env.all_of(first))
+    assert fabric._resources == {}
+    states = dict(fabric._states)
+    # egress:hub, then ingress and path per leaf.
+    assert len(states) == 1 + 2 * 8
+    second = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
+    flows = [fabric._event_flows[done] for done in second]
+    env.run(until=env.now + 0.015)
+    assert len(fabric._resources) == len(states)
+    for rid, state in fabric._resources.items():
+        assert state is states[rid]
+    env.run(env.all_of(second))
+    assert fabric._resources == {}
+    assert fabric._states.keys() == states.keys()
+    assert all(fabric._states[rid] is state for rid, state in states.items())
+    for flow in flows:
+        assert all(state is states[state.rid] for state in flow.states)
+
+
+def test_flow_resolved_before_topology_change_shares_the_new_state():
+    # The first flow's route is resolved at t=0 and admitted at t=0.1;
+    # the path is throttled at t=0.05, while it is still propagating.
+    topo = two_site_topology(nic_bps=1 * GBPS, rtt=0.2)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    early = fabric.transfer("a", "b", 50e6)
+    late = []
+
+    def throttle(_event):
+        topo.set_path("a", "b", capacity_bps=0.1 * GBPS, rtt_s=0.2)
+        fabric.on_topology_change()
+        late.append(fabric.transfer("a", "b", 50e6))
+
+    env.timeout(0.05).callbacks.append(throttle)
+    env.run(until=0.12)
+    first = fabric._event_flows[early]
+    # Admitted alone after the change: held to the new path capacity.
+    assert first.rate_bps == 0.1 * GBPS
+    env.run(until=0.2)
+    second = fabric._event_flows[late[0]]
+    assert second.states is not first.states
+    assert all(a is b for a, b in zip(first.states, second.states))
+    assert len(fabric._states) == 3
+    assert first.rate_bps == second.rate_bps == 0.05 * GBPS
+
+
+def test_redefined_channel_applies_to_its_idle_state():
+    topo = two_site_topology(nic_bps=1 * GBPS)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.define_channel("ser", 0.1 * GBPS)
+    done = fabric.transfer("a", "b", 12.5e6, channels=("ser",))
+    env.run(done)
+    state = fabric._states["channel:ser"]
+    assert "channel:ser" not in fabric._resources
+    fabric.define_channel("ser", 0.05 * GBPS)
+    assert state.capacity == 0.05 * GBPS
+    start = env.now
+    done = fabric.transfer("a", "b", 12.5e6, channels=("ser",))
+    env.run(done)
+    assert fabric._states["channel:ser"] is state
+    # 100 Mbit at 50 Mb/s plus sub-ms propagation.
+    assert env.now - start == pytest.approx(2.0, rel=0.01)
+
+
+def test_channel_named_twice_is_one_resource():
+    # The capped flow freezes first at 10 Mb/s; the channel's other two
+    # members then split the 70 Mb/s it leaves.
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(nic_bps=1 * GBPS))
+    fabric.define_channel("ser", 100e6)
+    capped = fabric.transfer("a", "b", 1e6, stream_cap_bps=10e6,
+                             channels=("ser", "ser"))
+    others = [fabric.transfer(src, "c", 50e6, channels=("ser",))
+              for src in ("a", "b")]
+    env.run(until=0.1)
+    assert sorted(flow.rate_bps for flow in fabric._flows) == [10e6, 45e6, 45e6]
+    env.run(env.all_of([capped, *others]))
+    assert fabric._resources == {}

@@ -90,6 +90,35 @@ class TestTopology:
         topo.add_site(make_site("asia", continent="ASIA", region="r2", zone="z2"))
         assert topo.path("us", "asia") == topo.path("asia", "us")
 
+    def test_path_resolves_once_per_pair(self):
+        topo = Topology()
+        topo.add_site(make_site("us", continent="US"))
+        topo.add_site(make_site("eu", continent="EU", region="r2", zone="z2"))
+        assert topo.path("us", "eu") is topo.path("eu", "us")
+        assert topo._path_cache.keys() == {("us", "eu"), ("eu", "us")}
+
+    def test_set_path_clears_both_directions(self):
+        topo = Topology()
+        topo.add_site(make_site("a"))
+        topo.add_site(make_site("b"))
+        before = topo.path("b", "a")
+        version = topo._version
+        topo.set_path("a", "b", capacity_bps=1 * GBPS)
+        assert topo._version == version + 1
+        assert topo._path_cache == {}
+        assert topo.path("b", "a") is not before
+        assert topo.path("b", "a").capacity_bps == 1 * GBPS
+
+    def test_override_applies_in_both_directions(self):
+        topo = Topology()
+        topo.add_site(make_site("a"))
+        topo.add_site(make_site("b"))
+        topo.set_path("b", "a", capacity_bps=300 * MBPS, rtt_s=0.25)
+        for path in (topo.path("a", "b"), topo.path("b", "a")):
+            assert path.capacity_bps == 300 * MBPS
+            assert path.rtt_s == 0.25
+        assert topo.path("a", "b") is topo.path("b", "a")
+
     def test_override_takes_precedence(self):
         topo = Topology()
         topo.add_site(make_site("a"))
