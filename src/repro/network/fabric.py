@@ -42,7 +42,9 @@ in the same order and at the same float times as with one entry each:
   event has been queued since the timer was (the kernel's sequence
   counter has not moved). Their timers would have fired back to back,
   so one callback admits the batch in request order; any interleaved
-  event opens a new timer.
+  event opens a new timer. A transfer with no propagation delay is
+  admitted at the end of the instant by the same code, as a batch of
+  one.
 * **Completion.** The flows found finished at one instant are metered
   one by one, then their completion events are triggered through
   :meth:`Environment.succeed_all`, one queue entry whose callbacks run
@@ -211,9 +213,7 @@ class Fabric:
             "flow_duration_seconds",
             "Wall time of each fabric transfer (request to last byte)",
         )
-        #: Application-level per-stream throughput cap (bits/s); models
-        #: serialization/CPU bottlenecks on top of TCP. ``None`` = no cap.
-        self.stream_cap_bps = stream_cap_bps
+        self._stream_cap_bps = stream_cap_bps
         #: Lognormal sigma applied to each flow's ceiling — the "wide
         #: variation, likely due to network utilization" the paper saw
         #: in its microbenchmarks. 0 disables jitter.
@@ -260,6 +260,18 @@ class Fabric:
         self._aborts_counter = self.telemetry.counter(
             "transfer_aborts_total", "Fabric transfers cancelled mid-flight"
         )
+
+    @property
+    def stream_cap_bps(self) -> Optional[float]:
+        """Application-level per-stream throughput cap (bits/s); models
+        serialization/CPU bottlenecks on top of TCP. ``None`` = no cap.
+        Setting it drops the route cache, whose ceilings assume it."""
+        return self._stream_cap_bps
+
+    @stream_cap_bps.setter
+    def stream_cap_bps(self, value: Optional[float]) -> None:
+        self._stream_cap_bps = value
+        self._rid_cache.clear()
 
     def define_channel(self, name: str, capacity_bps: float) -> None:
         """Register a shared application channel (e.g. a per-VM
@@ -344,7 +356,7 @@ class Fabric:
                 )
                 self._admission = (due, env._sequence, flows)
         else:
-            env.defer(lambda _flow=flow: self._admit_flow(_flow))
+            env.defer(lambda _flows=[flow]: self._admit_batch(_flows))
         return done
 
     def _resolve_transfer(
@@ -481,13 +493,14 @@ class Fabric:
         return done
 
     def _admit_batch(self, flows: list[Flow]) -> None:
-        """Admit the flows of one admission timer, in request order."""
+        """Admit flows whose propagation delay has elapsed (one timer's
+        batch, or one zero-delay flow), in request order. The clock
+        advances and the fabric is marked dirty once, at the first flow
+        registered: later advances at this instant would be no-ops, and
+        the generation is only ever compared for equality."""
         admission = self._admission
         if admission is not None and admission[2] is flows:
             self._admission = None
-        # Same as _admit_flow per flow: after the first registration, a
-        # clock advance at this instant is a no-op and the generation is
-        # only ever compared for equality.
         dirty = False
         for flow in flows:
             if flow.aborted:
@@ -500,17 +513,6 @@ class Fabric:
                 self._advance_clock()
                 self._mark_dirty()
             self._register_flow(flow)
-
-    def _admit_flow(self, flow: Flow) -> None:
-        """Flow admission after propagation delay."""
-        if flow.aborted:
-            return
-        if flow.remaining_bytes <= 0:
-            self._finish_flow(flow).succeed(flow)
-            return
-        self._advance_clock()
-        self._register_flow(flow)
-        self._mark_dirty()
 
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""

@@ -448,3 +448,59 @@ def test_channel_named_twice_is_one_resource():
     assert sorted(flow.rate_bps for flow in fabric._flows) == [10e6, 45e6, 45e6]
     env.run(env.all_of([capped, *others]))
     assert fabric._resources == {}
+
+
+def test_transfer_builds_the_requested_flow():
+    env = Environment()
+    topo = two_site_topology(nic_bps=1 * GBPS, rtt=0.2)
+    fabric = Fabric(env, topo, stream_cap_bps=30e6)
+    env.run(until=0.5)
+    plain = fabric._event_flows[fabric.transfer("a", "b", 7e6, tag="grad")]
+    wide = fabric._event_flows[
+        fabric.transfer("b", "a", 9e6, streams=3, stream_cap_bps=20e6)
+    ]
+    assert plain.flow_id == 0 and wide.flow_id == 1
+    assert (plain.src.name, plain.dst.name) == ("a", "b")
+    assert (wide.src.name, wide.dst.name) == ("b", "a")
+    assert plain.total_bytes == plain.remaining_bytes == 7e6
+    assert wide.total_bytes == wide.remaining_bytes == 9e6
+    assert plain.ceiling_bps == 30e6
+    assert wide.ceiling_bps == 3 * 20e6
+    assert plain.tag == "grad" and wide.tag is None
+    assert plain.started_s == wide.started_s == 0.5
+    assert plain.resources == ("egress:a", "ingress:b", "path:a|b")
+    assert wide.resources == ("egress:b", "ingress:a", "path:a|b")
+    assert plain.states[2] is wide.states[2] is fabric._states["path:a|b"]
+    assert plain.rate_bps == 0.0 and plain.span is None and not plain.aborted
+    assert fabric._event_flows[plain.done] is plain
+
+
+def test_setting_stream_cap_applies_to_resolved_routes():
+    env = Environment()
+    topo = two_site_topology(nic_bps=1 * GBPS)
+    fabric = Fabric(env, topo, stream_cap_bps=10e6)
+    first = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    fabric.stream_cap_bps = 20e6
+    second = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    fabric.stream_cap_bps = None
+    third = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    assert first.ceiling_bps == 10e6
+    assert second.ceiling_bps == 20e6
+    assert third.ceiling_bps == topo.single_stream_bps("a", "b")
+
+
+def test_same_site_transfers_are_admitted_within_the_instant():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology())
+    fabric.define_channel("disk", 80e6)
+    empty = fabric.transfer("a", "a", 0.0, channels=("disk",))
+    dropped = fabric.transfer("a", "a", 1e6, channels=("disk",))
+    kept = [fabric.transfer("a", "a", 5e6, channels=("disk",)) for _ in range(2)]
+    assert fabric.abort(dropped)
+    env.run(until=1e-9)
+    assert empty.processed and empty.value.total_bytes == 0.0
+    assert [flow.rate_bps for flow in fabric._flows] == [40e6, 40e6]
+    env.run(env.all_of(kept))
+    # 40 Mbit each at half of 80 Mb/s.
+    assert env.now == pytest.approx(1.0)
+    assert fabric.meter.total_bytes == 10e6
