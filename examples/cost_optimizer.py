@@ -6,7 +6,6 @@ ranks the setups that meet the target by dollars per million samples —
 the decision the paper's "lessons learned" are meant to support.
 """
 
-from repro.cloud import emissions_per_million_samples
 from repro.core import cost_per_million_samples, cost_report, evaluate_setup
 from repro.experiments import build_run_config, get_spec
 from repro.hivemind import run_hivemind
@@ -37,18 +36,17 @@ def main() -> None:
             "granularity": result.granularity,
             "usd_h": report.hourly_total,
             "usd_1m": report.usd_per_million_samples,
-            "kg_co2_1m": emissions_per_million_samples(result),
             "meets": result.throughput_sps >= TARGET_SPS,
         })
 
     rows.sort(key=lambda r: r["usd_1m"])
     print(f"{'setup':>7} {'gpus':>4} {'SPS':>8} {'gran':>6} "
-          f"{'$/h':>7} {'$/1M':>7} {'kgCO2/1M':>9}  target?")
+          f"{'$/h':>7} {'$/1M':>7}  target?")
     for row in rows:
         marker = "yes" if row["meets"] else "no"
         print(f"{row['key']:>7} {row['gpus']:>4} {row['sps']:>8.1f} "
               f"{row['granularity']:>6.2f} {row['usd_h']:>7.2f} "
-              f"{row['usd_1m']:>7.2f} {row['kg_co2_1m']:>9.3f}  {marker}")
+              f"{row['usd_1m']:>7.2f}  {marker}")
 
     winners = [r for r in rows if r["meets"]]
     if winners:

@@ -9,7 +9,7 @@ figure of the paper's evaluation. Subpackages:
 - :mod:`repro.network` — WAN topology, TCP model, flow fabric,
 - :mod:`repro.cloud` — providers, pricing, spot interruptions,
 - :mod:`repro.hardware` / :mod:`repro.models` — calibrated workloads,
-- :mod:`repro.data` — object store + WebDataset shards,
+- :mod:`repro.data` — dataset specs + object-store ingress link,
 - :mod:`repro.training` — numpy autograd, SGD/LAMB,
 - :mod:`repro.hivemind` — DHT, matchmaking, Moshpit averaging, runs,
 - :mod:`repro.core` — granularity, prediction, costs, planner,

@@ -1,14 +1,6 @@
 """Cloud substrate: providers, pricing, instances, spot lifecycle."""
 
 from .allocator import FleetEvent, SpotFleet, VmSlot
-from .broker import BrokeredFleet, Placement, ZoneOffer
-from .carbon import (
-    GPU_POWER_W,
-    REGION_INTENSITY,
-    CarbonIntensity,
-    emissions_per_million_samples,
-    run_emissions_kg,
-)
 from .instances import (
     INSTANCE_TYPES,
     InstanceType,
@@ -33,18 +25,10 @@ from .spot_market import SpotPriceModel, integrate_price_usd, price_series
 __all__ = [
     "B2_EGRESS_PER_GB",
     "B2_STORAGE_PER_GB_MONTH",
-    "BrokeredFleet",
-    "CarbonIntensity",
     "FleetEvent",
-    "GPU_POWER_W",
-    "Placement",
-    "REGION_INTENSITY",
     "SpotPriceModel",
-    "ZoneOffer",
-    "emissions_per_million_samples",
     "integrate_price_usd",
     "price_series",
-    "run_emissions_kg",
     "INSTANCE_TYPES",
     "InstanceType",
     "InterruptionModel",

@@ -70,10 +70,10 @@ def integrate_price_usd(
 
     The price is sampled at the start of each (possibly partial)
     ``step_s`` billing step, matching "spot prices change hourly"
-    (Section 2.2). This is the one billing loop: run cost reports and
-    :class:`~repro.cloud.BrokeredFleet` both accrue through it. The
-    integral is a pure function of the model and the intervals, so
-    identically-seeded runs bill identically.
+    (Section 2.2). This is the one billing loop: run cost reports
+    accrue spot compute through it. The integral is a pure function of
+    the model and the intervals, so identically-seeded runs bill
+    identically.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")

@@ -1,41 +1,11 @@
-"""Data substrate: datasets, object store, WebDataset shards."""
+"""Data substrate: dataset specs and the simulated object-store link."""
 
 from .datasets import DATASETS, DatasetSpec, get_dataset
-from .storage import DataBill, ObjectStore, StoreLink
-from .synthetic import (
-    build_synthetic_shards,
-    commonvoice_like_samples,
-    imagenet_like_samples,
-    wikipedia_like_samples,
-)
-from .webdataset import (
-    DECODERS,
-    ShardCache,
-    WebDataset,
-    batched,
-    decode_sample,
-    iterate_shard,
-    write_shard,
-    write_shards,
-)
+from .storage import StoreLink
 
 __all__ = [
     "DATASETS",
-    "build_synthetic_shards",
-    "commonvoice_like_samples",
-    "imagenet_like_samples",
-    "wikipedia_like_samples",
-    "DECODERS",
-    "DataBill",
     "DatasetSpec",
-    "ObjectStore",
-    "ShardCache",
     "StoreLink",
-    "WebDataset",
-    "batched",
-    "decode_sample",
     "get_dataset",
-    "iterate_shard",
-    "write_shard",
-    "write_shards",
 ]

@@ -1,97 +1,25 @@
-"""A Backblaze-B2-style object store with cost metering.
+"""The simulated ingress link from a Backblaze-B2-style object store.
 
 The paper hosts its datasets on an independent S3-compatible provider
 (Backblaze B2) because spot VMs cannot rely on provider-local storage:
 replicated data centers serve a reasonable ingress rate from every
 continent at $0.01/GB egress and $0.005/GB/month storage (Section 3).
 
-Two layers live here:
-
-* :class:`ObjectStore` — a real in-memory/on-disk key→bytes store used
-  by the WebDataset shard reader in tests and examples, with an egress
-  meter priced at the B2 rate.
-* :class:`StoreLink` — the simulated ingress pipe from the store to one
-  VM, used by the training simulation to account data-loading time,
-  bytes and dollars. The paper observed ~33 Mb/s ingress per VM while
-  training CV (demand-limited, far below the link capacity).
+:class:`StoreLink` is the pipe from the store to one VM. The training
+simulation uses it to cap the local rate at the link's bandwidth and to
+count the bytes each VM fetches; :func:`repro.core.costs.cost_report`
+is the one place those bytes are priced (at ``B2_EGRESS_PER_GB``). The
+paper observed ~33 Mb/s ingress per VM while training CV
+(demand-limited, far below the link capacity).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datasets import DatasetSpec
 
-__all__ = ["ObjectStore", "StoreLink", "DataBill"]
-
-
-class ObjectStore:
-    """In-memory S3-style bucket with B2 pricing on reads."""
-
-    def __init__(
-        self,
-        egress_price_per_gb: float = 0.01,
-        storage_price_per_gb_month: float = 0.005,
-    ):
-        self.egress_price_per_gb = egress_price_per_gb
-        self.storage_price_per_gb_month = storage_price_per_gb_month
-        self._objects: dict[str, bytes] = {}
-        self.egress_bytes = 0
-
-    def put(self, key: str, data: bytes) -> None:
-        self._objects[key] = bytes(data)
-
-    def get(self, key: str) -> bytes:
-        if key not in self._objects:
-            raise KeyError(f"no such object: {key!r}")
-        data = self._objects[key]
-        self.egress_bytes += len(data)
-        return data
-
-    def head(self, key: str) -> int:
-        """Size of an object without billing egress."""
-        return len(self._objects[key])
-
-    def etag(self, key: str) -> str:
-        return hashlib.md5(self._objects[key]).hexdigest()
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._objects if k.startswith(prefix))
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._objects
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    @property
-    def stored_bytes(self) -> int:
-        return sum(len(v) for v in self._objects.values())
-
-    @property
-    def egress_cost(self) -> float:
-        return self.egress_bytes / 1e9 * self.egress_price_per_gb
-
-    def monthly_storage_cost(self) -> float:
-        return self.stored_bytes / 1e9 * self.storage_price_per_gb_month
-
-
-@dataclass
-class DataBill:
-    """Accumulated data-loading traffic and its cost for one VM."""
-
-    ingress_bytes: float = 0.0
-    egress_price_per_gb: float = 0.01
-
-    @property
-    def cost(self) -> float:
-        return self.ingress_bytes / 1e9 * self.egress_price_per_gb
-
-    def hourly_cost(self, elapsed_s: float) -> float:
-        if elapsed_s <= 0:
-            return 0.0
-        return self.cost * 3600.0 / elapsed_s
+__all__ = ["StoreLink"]
 
 
 @dataclass
@@ -100,28 +28,20 @@ class StoreLink:
 
     The store is replicated worldwide, so the per-VM ingress capacity is
     the same everywhere (Section 3); consumption is demand-limited by
-    the training throughput. Once the full dataset has been fetched it
-    is served from the local disk cache and no further egress accrues
-    (the paper's "one-time cost" observation).
+    the training throughput. Every fetched byte lands in the local disk
+    cache, so once the whole dataset has been fetched no further ingress
+    accrues (the paper's "one-time cost" observation).
     """
 
     dataset: DatasetSpec
     link_capacity_bps: float = 2e9
-    cache_capacity_bytes: float = float("inf")
-    egress_price_per_gb: float = 0.01
-    bill: DataBill = field(init=False)
-    _cached_bytes: float = field(default=0.0, init=False)
-
-    def __post_init__(self):
-        self.bill = DataBill(egress_price_per_gb=self.egress_price_per_gb)
+    #: Bytes fetched from the store so far; also what the cache holds.
+    ingress_bytes: float = 0.0
 
     @property
     def cache_complete(self) -> bool:
-        """Whole dataset cached locally (assuming large enough disk)."""
-        return (
-            self._cached_bytes >= self.dataset.total_bytes
-            and self.dataset.total_bytes <= self.cache_capacity_bytes
-        )
+        """Whole dataset cached locally."""
+        return self.ingress_bytes >= self.dataset.total_bytes
 
     def demand_bps(self, samples_per_second: float) -> float:
         """Ingress rate needed to sustain a training throughput."""
@@ -136,28 +56,12 @@ class StoreLink:
         """Account ``num_samples`` worth of data; returns bytes fetched.
 
         Samples already in the local cache are free; fresh data is
-        billed at the store's egress price and added to the cache (up to
-        the cache capacity, evicting nothing — the paper assumes large
-        enough local storage for the one-time-cost argument).
+        fetched from the store and added to the cache, which the paper
+        assumes large enough for the one-time-cost argument.
         """
         if num_samples < 0:
             raise ValueError("num_samples must be >= 0")
-        wanted = num_samples * self.dataset.bytes_per_sample
-        if self.cache_complete:
-            return 0.0
-        remaining_uncached = max(self.dataset.total_bytes - self._cached_bytes, 0.0)
-        fetched = min(wanted, remaining_uncached) if (
-            self.dataset.total_bytes <= self.cache_capacity_bytes
-        ) else wanted
-        self._cached_bytes = min(
-            self._cached_bytes + fetched, self.cache_capacity_bytes
-        )
-        self.bill.ingress_bytes += fetched
+        remaining = max(self.dataset.total_bytes - self.ingress_bytes, 0.0)
+        fetched = min(num_samples * self.dataset.bytes_per_sample, remaining)
+        self.ingress_bytes += fetched
         return fetched
-
-    def time_for_samples(self, num_samples: float) -> float:
-        """Seconds of link time to fetch ``num_samples`` (0 if cached)."""
-        if self.cache_complete:
-            return 0.0
-        nbytes = num_samples * self.dataset.bytes_per_sample
-        return nbytes * 8.0 / self.link_capacity_bps

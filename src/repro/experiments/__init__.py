@@ -8,7 +8,6 @@ from .adaptive import (
 )
 from .configs import EXPERIMENTS, ExperimentSpec, build_run_config, get_spec
 from .figures import REPORTS, Report, generate, render, report_keys
-from .replication import ReplicationSummary, replicate
 from .resilience import chaos_schedule_for, resilience_report, run_chaos
 from .report import (epoch_breakdown, report_to_markdown,
                      write_markdown_report)
@@ -32,8 +31,6 @@ __all__ = [
     "SweepGrid",
     "SweepResult",
     "run_sweep",
-    "ReplicationSummary",
-    "replicate",
     "epoch_breakdown",
     "report_to_markdown",
     "write_markdown_report",

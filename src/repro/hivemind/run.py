@@ -825,7 +825,7 @@ class _Run:
             egress_bytes_by_pair=dict(meter.by_pair),
             averaging_bytes=meter.total_bytes,
             data_ingress_bytes_by_site={
-                site: link.bill.ingress_bytes
+                site: link.ingress_bytes
                 for site, link in self.links.items()
             },
             monitor_samples=len(monitor.samples) if monitor is not None else 0,

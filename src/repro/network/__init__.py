@@ -4,7 +4,6 @@ from .fabric import Fabric, Flow, TrafficMeter, TransferAborted
 from .profiler import ProfileResult, measure_bandwidth_bps, measure_rtt_s, profile_matrix
 from .profiles import LOCATIONS, PATH_OVERRIDES, build_topology, location_of
 from .tcp import (
-    bandwidth_delay_product_bytes,
     effective_ceiling_bps,
     multi_stream_bps,
     single_stream_bps,
@@ -34,7 +33,6 @@ __all__ = [
     "TrafficClass",
     "TrafficMeter",
     "TransferAborted",
-    "bandwidth_delay_product_bytes",
     "build_topology",
     "classify_traffic",
     "effective_ceiling_bps",

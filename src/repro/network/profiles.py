@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import GBPS, MBPS, Site, Topology
+from .topology import GBPS, Site, Topology
 
 __all__ = [
     "LOCATIONS",

@@ -19,7 +19,6 @@ __all__ = [
     "single_stream_bps",
     "multi_stream_bps",
     "stream_count_for_capacity",
-    "bandwidth_delay_product_bytes",
     "effective_ceiling_bps",
 ]
 
@@ -76,8 +75,3 @@ def stream_count_for_capacity(path: PathSpec) -> int:
     while multi_stream_bps(path, count) < path.capacity_bps:
         count += 1
     return count
-
-
-def bandwidth_delay_product_bytes(path: PathSpec) -> float:
-    """Bytes in flight needed to saturate the path with one stream."""
-    return path.capacity_bps * path.rtt_s / 8.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import traceback as traceback_module
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .fingerprint import (
     FINGERPRINT_VERSION,

@@ -1,14 +1,9 @@
 """Numerical training substrate: autograd, layers, losses, optimizers."""
 
 from .autograd import Tensor, no_grad
-from .layers import MLP, Embedding, Linear, Module, ReLU, Sequential, Tanh
-from .losses import accuracy, cross_entropy, mse_loss
+from .layers import MLP, Linear, Module, ReLU, Sequential
+from .losses import cross_entropy
 from .optimizers import LAMB, SGD, Optimizer
-from .schedules import (
-    ConstantSchedule,
-    WarmupCosineSchedule,
-    clip_gradient_norm,
-)
 from .trainer import (
     GradientAccumulator,
     LocalTrainer,
@@ -18,10 +13,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "ConstantSchedule",
-    "Embedding",
-    "WarmupCosineSchedule",
-    "clip_gradient_norm",
     "GradientAccumulator",
     "LAMB",
     "Linear",
@@ -32,13 +23,10 @@ __all__ = [
     "ReLU",
     "SGD",
     "Sequential",
-    "Tanh",
     "Tensor",
     "TrainLog",
-    "accuracy",
     "compute_gradient",
     "cross_entropy",
     "make_classification_data",
-    "mse_loss",
     "no_grad",
 ]

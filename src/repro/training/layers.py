@@ -8,7 +8,7 @@ import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["Module", "Linear", "Embedding", "ReLU", "Tanh", "Sequential", "MLP"]
+__all__ = ["Module", "Linear", "ReLU", "Sequential", "MLP"]
 
 
 class Module:
@@ -106,34 +106,9 @@ class Linear(Module):
         return out
 
 
-class Embedding(Module):
-    """Lookup table; the forward pass is an index, as in the paper's
-    observation that larger vocabularies barely change calculation time."""
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(
-            rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim)),
-            requires_grad=True,
-        )
-
-    def forward(self, indices) -> Tensor:  # type: ignore[override]
-        return self.weight.take_rows(np.asarray(indices))
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Sequential(Module):

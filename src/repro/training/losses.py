@@ -6,14 +6,7 @@ import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["mse_loss", "cross_entropy", "accuracy"]
-
-
-def mse_loss(prediction: Tensor, target) -> Tensor:
-    """Mean squared error over all elements."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
+__all__ = ["cross_entropy"]
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -29,10 +22,3 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     one_hot[np.arange(batch), labels] = 1.0
     picked = log_probs * Tensor(one_hot)
     return -picked.sum() * (1.0 / batch)
-
-
-def accuracy(logits: Tensor, labels) -> float:
-    """Top-1 accuracy (no gradient)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    predicted = logits.data.argmax(axis=-1)
-    return float((predicted == labels).mean())

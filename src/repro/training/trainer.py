@@ -10,11 +10,10 @@ peers reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..telemetry import NULL_TELEMETRY
 from .autograd import Tensor
 from .layers import Module
 from .losses import cross_entropy
@@ -48,11 +47,10 @@ def compute_gradient(
     model: Module,
     features: np.ndarray,
     labels: np.ndarray,
-    loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
 ) -> tuple[np.ndarray, float]:
     """One forward/backward pass; returns (flat gradient, loss value)."""
     model.zero_grad()
-    loss = loss_fn(model(Tensor(features)), labels)
+    loss = cross_entropy(model(Tensor(features)), labels)
     loss.backward()
     return model.grad_vector(), loss.item()
 
@@ -122,30 +120,12 @@ class LocalTrainer:
         optimizer: Optimizer,
         target_batch_size: int,
         microbatch_size: int,
-        loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
-        schedule=None,
-        max_grad_norm: Optional[float] = None,
-        telemetry=None,
     ):
         if microbatch_size < 1:
             raise ValueError("microbatch_size must be >= 1")
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._steps_counter = self.telemetry.counter(
-            "optimizer_steps_total", "Optimizer steps applied"
-        )
-        self._microbatch_counter = self.telemetry.counter(
-            "microbatches_total", "Microbatch forward/backward passes"
-        )
-        self._loss_gauge = self.telemetry.gauge(
-            "train_loss", "Most recent microbatch loss"
-        )
         self.model = model
         self.optimizer = optimizer
-        self.loss_fn = loss_fn
         self.microbatch_size = microbatch_size
-        self.schedule = schedule
-        self.max_grad_norm = max_grad_norm
-        self.steps_taken = 0
         self.accumulator = GradientAccumulator(
             parameter_count=model.state_vector().size,
             target_batch_size=target_batch_size,
@@ -166,27 +146,16 @@ class LocalTrainer:
                 index = rng.integers(0, len(features),
                                      size=self.microbatch_size)
                 gradient, loss = compute_gradient(
-                    self.model, features[index], labels[index], self.loss_fn
+                    self.model, features[index], labels[index]
                 )
                 self.accumulator.add(gradient, self.microbatch_size)
                 self.log.losses.append(loss)
                 self.log.samples_seen += self.microbatch_size
-                self._microbatch_counter.inc()
-                self._loss_gauge.set(loss)
             self.apply_accumulated()
         return self.log
 
     def apply_accumulated(self) -> None:
         """Apply the averaged accumulated gradient as one optimizer step."""
-        gradient = self.accumulator.average()
-        if self.max_grad_norm is not None:
-            from .schedules import clip_gradient_norm
-
-            gradient = clip_gradient_norm(gradient, self.max_grad_norm)
-        if self.schedule is not None:
-            self.optimizer.lr = self.schedule.lr_at(self.steps_taken)
-        self.model.load_grad_vector(gradient)
+        self.model.load_grad_vector(self.accumulator.average())
         self.optimizer.step()
-        self.steps_taken += 1
-        self._steps_counter.inc()
         self.accumulator.reset()

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.cloud import B2_EGRESS_PER_GB
 from repro.core import (
     CallFractions,
     call_fractions,
     cost_per_million_samples,
     cost_report,
 )
+from repro.experiments import build_run_config
 from repro.hivemind import HivemindRunConfig, PeerSpec, run_hivemind
 from repro.network import build_topology
 
@@ -79,6 +81,20 @@ class TestMeteredCostReport:
         report = cost_report(result)
         per_vm = report.hourly_data_loading / 4
         assert per_vm == pytest.approx(0.144, rel=0.4)
+
+    @pytest.mark.parametrize("key", ["A-4", "B-8", "D-2"])
+    def test_data_loading_billed_from_link_ingress(self, key):
+        """The store link only counts bytes; cost_report is the one
+        place that prices them, at the B2 egress rate."""
+        result = run_hivemind(build_run_config(key, "conv", epochs=3))
+        report = cost_report(result)
+        ingress = result.data_ingress_bytes_by_site
+        assert sum(ingress.values()) > 0
+        for vm in report.vms:
+            billed = vm.data_loading_per_h * report.duration_h
+            assert billed == pytest.approx(
+                ingress[vm.site] / 1e9 * B2_EGRESS_PER_GB, rel=1e-12
+            )
 
     def test_usd_per_million_samples_positive(self):
         result = run()

@@ -1,53 +1,8 @@
-"""Tests for the object store and the simulated store link."""
+"""Tests for the simulated store link and the dataset specs."""
 
 import pytest
 
-from repro.data import DATASETS, DataBill, ObjectStore, StoreLink, get_dataset
-
-
-class TestObjectStore:
-    def test_put_get_roundtrip(self):
-        store = ObjectStore()
-        store.put("a/b.tar", b"hello")
-        assert store.get("a/b.tar") == b"hello"
-
-    def test_get_missing_raises(self):
-        store = ObjectStore()
-        with pytest.raises(KeyError):
-            store.get("nope")
-
-    def test_egress_metering_and_cost(self):
-        store = ObjectStore(egress_price_per_gb=0.01)
-        store.put("x", b"\x00" * 1000)
-        store.get("x")
-        store.get("x")
-        assert store.egress_bytes == 2000
-        assert store.egress_cost == pytest.approx(2000 / 1e9 * 0.01)
-
-    def test_head_does_not_bill(self):
-        store = ObjectStore()
-        store.put("x", b"abc")
-        assert store.head("x") == 3
-        assert store.egress_bytes == 0
-
-    def test_list_keys_with_prefix(self):
-        store = ObjectStore()
-        store.put("train/0.tar", b"a")
-        store.put("train/1.tar", b"b")
-        store.put("val/0.tar", b"c")
-        assert store.list_keys("train/") == ["train/0.tar", "train/1.tar"]
-        assert len(store) == 3
-        assert "val/0.tar" in store
-
-    def test_storage_cost(self):
-        store = ObjectStore(storage_price_per_gb_month=0.005)
-        store.put("x", b"\x00" * int(2e9))
-        assert store.monthly_storage_cost() == pytest.approx(0.01)
-
-    def test_etag_stable(self):
-        store = ObjectStore()
-        store.put("x", b"abc")
-        assert store.etag("x") == store.etag("x")
+from repro.data import DATASETS, StoreLink, get_dataset
 
 
 class TestStoreLink:
@@ -66,7 +21,7 @@ class TestStoreLink:
         link = StoreLink(get_dataset("imagenet1k"))
         fetched = link.consume(100)
         assert fetched == pytest.approx(100 * 110_000)
-        assert link.bill.cost == pytest.approx(100 * 110_000 / 1e9 * 0.01)
+        assert link.ingress_bytes == pytest.approx(100 * 110_000)
 
     def test_consume_negative_rejected(self):
         link = StoreLink(get_dataset("imagenet1k"))
@@ -80,33 +35,10 @@ class TestStoreLink:
         link = StoreLink(dataset)
         link.consume(dataset.num_samples)  # fetch everything once
         assert link.cache_complete
-        before = link.bill.ingress_bytes
+        before = link.ingress_bytes
         assert link.consume(10_000) == 0.0
-        assert link.bill.ingress_bytes == before
+        assert link.ingress_bytes == before
         assert link.demand_bps(100.0) == 0.0
-
-    def test_small_cache_never_completes(self):
-        dataset = get_dataset("imagenet1k")
-        link = StoreLink(dataset, cache_capacity_bytes=1e6)
-        link.consume(dataset.num_samples)
-        assert not link.cache_complete
-        # Re-reading keeps billing because the cache thrashes.
-        before = link.bill.ingress_bytes
-        link.consume(100)
-        assert link.bill.ingress_bytes > before
-
-    def test_time_for_samples(self):
-        link = StoreLink(get_dataset("imagenet1k"), link_capacity_bps=100e6)
-        seconds = link.time_for_samples(100)
-        assert seconds == pytest.approx(100 * 110_000 * 8 / 100e6)
-
-
-class TestDataBill:
-    def test_hourly_cost(self):
-        bill = DataBill(ingress_bytes=1e9, egress_price_per_gb=0.01)
-        assert bill.cost == pytest.approx(0.01)
-        assert bill.hourly_cost(1800.0) == pytest.approx(0.02)
-        assert bill.hourly_cost(0.0) == 0.0
 
 
 class TestDatasetSpecs:

@@ -90,30 +90,6 @@ class TestRunSweep:
         assert doc["error_type"] == "KeyError"
 
 
-class TestReplication:
-    def test_replication_summary(self):
-        from repro.experiments import replicate
-
-        summary = replicate("A-2", "conv", seeds=(0, 1, 2), epochs=2,
-                            account_data_loading=False,
-                            monitor_interval_s=None)
-        assert len(summary.throughputs) == 3
-        assert summary.mean_sps > 0
-        # The only stochastic term is matchmaking jitter: runs are
-        # highly stable across seeds.
-        assert summary.cv_sps < 0.05
-        row = summary.row()
-        assert row["seeds"] == 3
-
-    def test_replication_requires_seeds(self):
-        from repro.experiments import replicate
-
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            replicate("A-2", "conv", seeds=())
-
-
 def test_cli_sweep(tmp_path, capsys):
     from repro.cli import main
 

@@ -312,6 +312,7 @@ class TestDataBottleneck:
     def test_slow_data_link_caps_throughput(self):
         """When the store link cannot feed the GPU, the effective local
         rate drops to the link's sample rate."""
+        from functools import partial
         from unittest.mock import patch
 
         from repro.data.storage import StoreLink
@@ -319,13 +320,9 @@ class TestDataBottleneck:
         fast = run_hivemind(make_config("rn18", {"lambda:us-west": 2},
                                         gpu="a10",
                                         account_data_loading=True))
-        original_init = StoreLink.__post_init__
-
-        def throttled_init(self):
-            original_init(self)
-            self.link_capacity_bps = 50e6  # ~57 samples/s of ImageNet
-
-        with patch.object(StoreLink, "__post_init__", throttled_init):
+        # ~57 samples/s of ImageNet.
+        throttled = partial(StoreLink, link_capacity_bps=50e6)
+        with patch("repro.hivemind.run.StoreLink", throttled):
             slow = run_hivemind(make_config("rn18", {"lambda:us-west": 2},
                                             gpu="a10",
                                             account_data_loading=True))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulation import (
     Environment,
-    Event,
     Interrupt,
     SimulationError,
 )
