@@ -11,8 +11,6 @@ the even split is penalized by.
 
 from repro.experiments.runner import run_experiment
 
-from conftest import run_report  # noqa: F401  (shared conftest import)
-
 
 def test_ablation_uneven_split(benchmark):
     keys4 = ("A-4", "B-4", "B-4u3", "B-4u1")

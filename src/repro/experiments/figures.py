@@ -2,12 +2,12 @@
 
 Each ``table*``/``figure*`` function returns a :class:`Report` whose
 rows carry the same quantities the paper plots. The CLI renders them as
-ASCII tables; the benchmark suite executes them and asserts the
-paper's qualitative claims (who wins, by roughly what factor, where the
-crossovers fall).
+ASCII tables; the validation registry (:mod:`.validation`) checks the
+paper's numbers and qualitative claims (who wins, by roughly what
+factor, where the crossovers fall) against them.
 
 All generators accept an ``epochs`` knob: more epochs average out the
-matchmaking jitter, fewer keep the benchmarks fast.
+matchmaking jitter, fewer keep the tests fast.
 
 Each report body lists its run points once, as orchestrator jobs, and
 gets every result from one batch on the ambient :class:`~repro.

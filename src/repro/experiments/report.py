@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from ..orchestrator import current_orchestrator, use_orchestrator
 from .figures import REPORTS, Report
 from .validation import render_scorecard, run_validation
 
@@ -111,16 +112,19 @@ def write_markdown_report(
         "Learning Models Across Clouds and Continents?* (PVLDB 17(6)), "
         f"simulated with `epochs={epochs}`.",
     ]
-    for key in keys:
-        sections.append("")
-        sections.append(report_to_markdown(REPORTS[key](epochs=epochs)))
-    if include_scorecard:
-        sections.append("")
-        sections.append("## Paper-fidelity scorecard")
-        sections.append("")
-        sections.append("```")
-        sections.append(render_scorecard(run_validation(epochs=epochs)))
-        sections.append("```")
+    # One orchestrator for the reports and the scorecard: a run point
+    # they share simulates once.
+    with use_orchestrator(current_orchestrator()):
+        for key in keys:
+            sections.append("")
+            sections.append(report_to_markdown(REPORTS[key](epochs=epochs)))
+        if include_scorecard:
+            sections.append("")
+            sections.append("## Paper-fidelity scorecard")
+            sections.append("")
+            sections.append("```")
+            sections.append(render_scorecard(run_validation(epochs=epochs)))
+            sections.append("```")
     path = Path(path)
     path.write_text("\n".join(sections) + "\n")
     return path

@@ -106,3 +106,82 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "scalable             : no" in out
+
+
+# Paper conclusions that are not a bound on one cell or on the ratio of
+# two; the rest live in the validation registry (``repro validate``).
+
+def _rows(key, *columns):
+    report = generate(key, epochs=2)
+    return {tuple(row[c] for c in columns): row for row in report.rows}
+
+
+def test_fig03_small_models_lose_most_at_8k():
+    rows = _rows("fig03", "model", "tbs")
+    rn18_ratio = (rows[("rn18", 8192)]["hivemind_2gpu_sps"]
+                  / rows[("rn18", 8192)]["baseline_sps"])
+    conv_ratio = (rows[("conv", 8192)]["hivemind_2gpu_sps"]
+                  / rows[("conv", 8192)]["baseline_sps"])
+    assert rn18_ratio < conv_ratio
+
+
+def test_fig07_nlp_per_gpu_speedup_drops_faster():
+    rows = _rows("fig07", "task", "experiment")
+    cv_drop = (rows[("CV", "A-2")]["speedup"] / 2
+               - rows[("CV", "A-8")]["speedup"] / 8)
+    nlp_drop = (rows[("NLP", "A-2")]["speedup"] / 2
+                - rows[("NLP", "A-8")]["speedup"] / 8)
+    assert nlp_drop > cv_drop
+
+
+def test_fig08_transatlantic_penalty_paid_once():
+    rows = _rows("fig08", "task", "experiment")
+    reference = _rows("fig07", "task", "experiment")
+    for task in ("CV", "NLP"):
+        b_scale = rows[(task, "B-8")]["sps"] / rows[(task, "B-2")]["sps"]
+        a_scale = (reference[(task, "A-8")]["sps"]
+                   / reference[(task, "A-2")]["sps"])
+        assert abs(b_scale - a_scale) / a_scale < 0.25, task
+
+
+def test_fig11_aws_total_beats_gc_for_c8_nlp():
+    rows = _rows("fig11", "part", "task", "provider")
+    aws, gc = rows[("b", "NLP", "aws")], rows[("b", "NLP", "gc")]
+    aws_total = aws["vm_usd_h"] + aws["external_egress_usd_h"]
+    gc_total = gc["vm_usd_h"] + gc["external_egress_usd_h"]
+    assert aws_total < gc_total
+
+
+def test_fig15_ddp_node_out_of_memory():
+    ddp = _rows("fig15", "setup")[("4xT4-DDP",)]
+    assert ddp["sps"] is None
+    assert "OOM" in ddp["kind"]
+
+
+def test_table2_resources():
+    by_key = {key: row
+              for (key,), row in _rows("table2", "experiment").items()}
+    for n in (1, 2, 3, 4, 6, 8):
+        assert by_key[f"A-{n}"]["resources"] == f"{n}xgc:us"
+    for n in (2, 4, 6, 8):
+        assert f"{n // 2}xgc:us" in by_key[f"B-{n}"]["resources"]
+        assert f"{n // 2}xgc:eu" in by_key[f"B-{n}"]["resources"]
+    assert "gc:aus" in by_key["C-8"]["resources"]
+    assert "gc:aus" not in by_key["C-6"]["resources"]
+
+
+def test_table3_us_best_connected():
+    report = generate("table3")
+
+    def worst(region):
+        return min(row["gbps"] for row in report.rows
+                   if row["from"] == region and row["to"] != region)
+
+    assert worst("gc:us") > worst("gc:eu")
+
+
+def test_sec7_spot_uptime_falls_with_rate():
+    report = generate("sec7-spot")
+    by_rate = {row["monthly_rate"]: row for row in report.rows}
+    uptimes = [by_rate[r]["uptime_fraction"] for r in sorted(by_rate)]
+    assert all(b <= a + 1e-9 for a, b in zip(uptimes, uptimes[1:]))
