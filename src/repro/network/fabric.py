@@ -29,8 +29,15 @@ the first time a route crosses it and kept for the fabric's lifetime.
 A resolved route holds the tuple of its resources' states, and every
 flow on the route carries that tuple, so admission, the fill and
 completion reach a resource without a string-keyed lookup. The state
-caches the resource's capacity (refreshed when the topology version
-moves) and holds the fill's per-pass ``remaining`` and ``count``.
+caches the resource's capacity and holds the fill's per-pass
+``remaining`` and ``count``. A route is resolved from the objects that
+define it (the sites, the path spec, the channel capacities), and a
+topology change costs only the pairs it changed: their routes are
+dropped, found through a per-pair index, and their path states'
+capacities refreshed. Every other route and state stays as it was: a
+pair's path depends only on its own override or default, sites are
+frozen, and :meth:`Fabric.define_channel` updates channel states in
+place.
 
 A fan-out costs O(1) kernel queue entries rather than two per flow.
 Both rules rely on the kernel ordering its queue by ``(time, sequence)``
@@ -155,6 +162,11 @@ class TrafficMeter:
         self.egress_by_site.clear()
 
 
+def _path_rid(a: str, b: str) -> str:
+    """The resource id of the path between two sites, in either order."""
+    return f"path:{a}|{b}" if a <= b else f"path:{b}|{a}"
+
+
 class _ResourceState:
     """One shared resource: the only object the fabric keeps for it.
 
@@ -162,9 +174,10 @@ class _ResourceState:
     every route that crosses the resource holds this same object, so a
     flow reaches it without a string-keyed lookup. ``members`` is
     maintained incrementally by :meth:`Fabric._register_flow` /
-    :meth:`Fabric._unregister_flow`; ``capacity`` is resolved from the
-    topology and refreshed when its version moves. ``remaining`` and
-    ``count`` are the working state of one progressive-filling pass.
+    :meth:`Fabric._unregister_flow`; ``capacity`` is taken from the
+    site, path or channel that defines the resource and refreshed when
+    that path or channel changes. ``remaining`` and ``count`` are the
+    working state of one progressive-filling pass.
     """
 
     __slots__ = ("rid", "capacity", "members", "remaining", "count")
@@ -243,8 +256,14 @@ class Fabric:
         self._topology_version = topology._version
         #: Per-(src, dst, channels) route cache: (src_site, dst_site,
         #: path, propagation_s, states, ceiling for one stream under the
-        #: fabric's cap). Cleared whenever the topology version moves.
+        #: fabric's cap). A topology change drops the routes over the
+        #: pairs it changed; setting ``stream_cap_bps`` drops them all.
         self._rid_cache: dict[tuple, tuple] = {}
+        #: The keys of the cached routes over each site pair, under the
+        #: pair's ``path:`` resource id (loopback pairs included). Built
+        #: at the first topology change, so a fabric that never sees one
+        #: keeps no index.
+        self._pair_routes: Optional[dict[str, list[tuple]]] = None
         #: True while a coalesced refill is scheduled for this instant.
         self._refill_pending = False
         #: The newest pending admission timer as (due time, kernel
@@ -272,6 +291,7 @@ class Fabric:
     def stream_cap_bps(self, value: Optional[float]) -> None:
         self._stream_cap_bps = value
         self._rid_cache.clear()
+        self._pair_routes = None
 
     def define_channel(self, name: str, capacity_bps: float) -> None:
         """Register a shared application channel (e.g. a per-VM
@@ -366,37 +386,45 @@ class Fabric:
         endpoint sites, path spec, one-way propagation delay, the
         persistent states of its resources and its default ceiling.
         Channel names are validated here, once per distinct (src, dst,
-        channels) combination."""
-        src_site = self.topology.get(src)
-        dst_site = self.topology.get(dst)
-        path = self.topology.path(src, dst)
+        channels) combination, before any state is created."""
+        topology = self.topology
+        src_site = topology.get(src)
+        dst_site = topology.get(dst)
+        path = topology.path(src, dst)
+        channel_caps = self._channel_caps
         for channel in channels:
-            if channel not in self._channel_caps:
+            if channel not in channel_caps:
                 raise KeyError(f"undefined channel {channel!r}")
-        channel_ids = tuple(f"channel:{name}" for name in channels)
+        pair = _path_rid(src, dst)
         if src == dst:
-            resource_ids = channel_ids
+            resources: list[tuple[str, float]] = []
         else:
-            resource_ids = (
-                f"egress:{src}",
-                f"ingress:{dst}",
-                f"path:{'|'.join(sorted((src, dst)))}",
-            ) + channel_ids
-        states = []
+            resources = [
+                (f"egress:{src}", src_site.nic_bps),
+                (f"ingress:{dst}", dst_site.nic_bps),
+                (pair, path.capacity_bps),
+            ]
         # A channel named twice is one resource: the fill decrements a
         # state once per entry in ``flow.states``.
-        for rid in dict.fromkeys(resource_ids):
+        for name in dict.fromkeys(channels):
+            resources.append((f"channel:{name}", channel_caps[name]))
+        states = []
+        for rid, capacity in resources:
             state = self._states.get(rid)
             if state is None:
-                state = self._states[rid] = _ResourceState(
-                    self._resource_capacity(rid), rid
-                )
+                state = self._states[rid] = _ResourceState(capacity, rid)
             states.append(state)
-        entry = (
-            src_site, dst_site, path, path.rtt_s / 2.0, tuple(states),
-            effective_ceiling_bps(path, 1, self.stream_cap_bps),
+        # effective_ceiling_bps(path, 1, cap), without hashing the path.
+        ceiling = path.single_stream_bps
+        cap = self.stream_cap_bps
+        if cap is not None and cap < ceiling:
+            ceiling = cap
+        key = (src, dst, channels)
+        entry = self._rid_cache[key] = (
+            src_site, dst_site, path, path.rtt_s / 2.0, tuple(states), ceiling
         )
-        self._rid_cache[(src, dst, channels)] = entry
+        if self._pair_routes is not None:
+            self._pair_routes.setdefault(pair, []).append(key)
         return entry
 
     def ping_s(self, a: str, b: str) -> float:
@@ -446,7 +474,8 @@ class Fabric:
 
         Accounts flow progress at the old rates, then queues a refill;
         the rebalance notices the bumped topology version and refreshes
-        the route/capacity caches before re-running max-min filling.
+        the routes and path capacities of the changed pairs before
+        re-running max-min filling.
         """
         self._advance_clock()
         self._mark_dirty()
@@ -573,11 +602,25 @@ class Fabric:
         self._schedule_next_completion()
 
     def _refresh_topology_caches(self) -> None:
-        self._topology_version = self.topology._version
-        self._rid_cache.clear()
-        # Idle states too: a flow still propagating may hold one.
-        for rid, state in self._states.items():
-            state.capacity = self._resource_capacity(rid)
+        """Catch up with the pairs the topology changed since this
+        fabric last looked: drop the routes over each and refresh its
+        path state's capacity (idle too: a flow still propagating may
+        hold it)."""
+        topology = self.topology
+        changed = topology.changed_since(self._topology_version)
+        self._topology_version = topology._version
+        pair_routes = self._pair_routes
+        if pair_routes is None:
+            pair_routes = self._pair_routes = {}
+            for key in self._rid_cache:
+                pair_routes.setdefault(_path_rid(key[0], key[1]), []).append(key)
+        for a, b in changed:
+            pair = _path_rid(a, b)
+            for key in pair_routes.pop(pair, ()):
+                del self._rid_cache[key]
+            state = self._states.get(pair)
+            if state is not None:
+                state.capacity = topology.path(a, b).capacity_bps
 
     def _assign_rates(self) -> None:
         """Progressive filling over the incrementally-maintained resources.
@@ -660,17 +703,6 @@ class Fabric:
                     entry.count -= 1
             active = [f for f in active if f._fill_active]
             entries = [e for e in entries if e.count > 0]
-
-    def _resource_capacity(self, resource_id: str) -> float:
-        kind, __, rest = resource_id.partition(":")
-        if kind == "egress" or kind == "ingress":
-            return self.topology.get(rest).nic_bps
-        if kind == "path":
-            a, __, b = rest.partition("|")
-            return self.topology.path(a, b).capacity_bps
-        if kind == "channel":
-            return self._channel_caps[rest]
-        raise ValueError(f"unknown resource {resource_id!r}")
 
     def _schedule_next_completion(self) -> None:
         if not self._flows:

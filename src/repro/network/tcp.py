@@ -51,8 +51,10 @@ def effective_ceiling_bps(
     """Aggregate rate ceiling of a transfer over ``path``.
 
     Memoised: a pure function of the (frozen) path spec and two
-    scalars, called once per fabric transfer with only a handful of
-    distinct argument combinations per topology.
+    scalars, called by each fabric transfer that asks for more streams
+    or its own cap (a route's one-stream ceiling is worked out when the
+    route is resolved), with only a handful of distinct argument
+    combinations per topology.
 
     Each of the ``streams`` parallel TCP streams is limited by
     ``window/RTT`` and, when given, by an application-level per-stream

@@ -137,17 +137,21 @@ class Topology:
     sites: dict[str, Site] = field(default_factory=dict)
     _overrides: dict[frozenset, PathSpec] = field(default_factory=dict)
     #: Resolved-path memo: :meth:`path` is on the fabric's per-transfer
-    #: hot path and sites/overrides are immutable once a simulation
-    #: starts, so each pair resolves to its (frozen) PathSpec exactly
-    #: once, cached under both orders since paths are symmetric.
-    #: Cleared by :meth:`set_path`.
+    #: hot path, so each pair resolves to its (frozen) PathSpec once,
+    #: cached under both orders since paths are symmetric.
+    #: :meth:`set_path` drops only the two entries of the pair it changes.
     _path_cache: dict[tuple[str, str], PathSpec] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Bumped whenever path resolution may change; consumers that cache
-    #: derived values (the fabric's resource capacities) compare this to
-    #: decide when to invalidate.
+    #: Bumped by every :meth:`set_path`; consumers that cache derived
+    #: values (the fabric's routes and path capacities) compare it to the
+    #: version they last saw and ask :meth:`changed_since` what moved.
     _version: int = field(default=0, repr=False, compare=False)
+    #: The pair each :meth:`set_path` changed, oldest first, one entry
+    #: per ``_version`` bump.
+    _changed_pairs: list[tuple[str, str]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def add_site(self, site: Site) -> Site:
         if site.name in self.sites:
@@ -175,8 +179,18 @@ class Topology:
             window_bytes=window_bytes
             if window_bytes is not None else default.window_bytes,
         )
-        self._path_cache.clear()
+        # A pair's path depends only on its own override or default.
+        self._path_cache.pop((a, b), None)
+        self._path_cache.pop((b, a), None)
+        self._changed_pairs.append((a, b))
         self._version += 1
+
+    def changed_since(self, version: int) -> list[tuple[str, str]]:
+        """The pairs :meth:`set_path` changed after ``version``, oldest
+        first (a pair changed twice is listed twice)."""
+        if version >= self._version:
+            return []
+        return self._changed_pairs[version - self._version :]
 
     def path(self, a: str, b: str) -> PathSpec:
         """Resolve the path between two named sites (memoised)."""

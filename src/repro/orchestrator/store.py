@@ -7,14 +7,18 @@ Layout (``repro-cache/1``)::
         ab/
           ab3f...e1.json     # one run record per fingerprint key
 
-Each file holds one JSON document::
+Each file holds one JSON document on one line, keys sorted and no
+whitespace between tokens (shown spread out here)::
 
     {
-      "schema": "repro-cache/1",
-      "key": "<sha256 of the canonical fingerprint>",
       "fingerprint": { ... },          # the full canonical fingerprint
+      "key": "<sha256 of the canonical fingerprint>",
       "record": { job, result, run },  # see repro.orchestrator.jobs
+      "schema": "repro-cache/1"
     }
+
+Readers parse any JSON layout, so entries written indented by earlier
+versions are still served.
 
 The file name *is* the content address: ``verify`` recomputes the
 fingerprint hash and flags any entry whose stored fingerprint no
@@ -146,17 +150,22 @@ class RunCache:
     def put(self, key: str, fingerprint: dict, record: dict) -> Path:
         """Atomically persist ``record`` under ``key``."""
         path = self._object_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "schema": CACHE_SCHEMA,
             "key": key,
             "fingerprint": fingerprint,
             "record": record,
         }
+        # One C-encoder pass and one write per record.
+        text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
         temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(temporary, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        try:
+            handle = open(temporary, "w")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(temporary, "w")
+        with handle:
+            handle.write(text)
         os.replace(temporary, path)
         self._count_put()
         return path

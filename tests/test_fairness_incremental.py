@@ -16,13 +16,31 @@ rates against the reference at every *complete* instant — i.e. once the
 coalesced refill for the current timestamp has actually run.
 """
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import Fabric, GBPS, MBPS, Site, Topology
 from repro.network.fabric import _EPS, _ResourceState
+from repro.network.tcp import effective_ceiling_bps
 from repro.simulation import Environment
+
+
+def resource_capacity(fabric, resource_id):
+    """A resource's capacity derived from its id string alone: the
+    oracle for the capacities the fabric keeps on its states."""
+    kind, __, rest = resource_id.partition(":")
+    if kind == "egress" or kind == "ingress":
+        return fabric.topology.get(rest).nic_bps
+    if kind == "path":
+        a, __, b = rest.partition("|")
+        return fabric.topology.path(a, b).capacity_bps
+    if kind == "channel":
+        return fabric._channel_caps[rest]
+    raise ValueError(f"unknown resource {resource_id!r}")
 
 
 def reference_rates(fabric):
@@ -41,7 +59,7 @@ def reference_rates(fabric):
         for resource_id in flow.resources:
             if resource_id not in resources:
                 resources[resource_id] = _ResourceState(
-                    capacity=fabric._resource_capacity(resource_id)
+                    capacity=resource_capacity(fabric, resource_id)
                 )
             resources[resource_id].members.add(flow)
         private = f"flow:{flow.flow_id}"
@@ -285,3 +303,102 @@ def test_incremental_matches_reference_under_topology_changes(seed):
     assert checks > 10, "property never exercised"
     assert in_flight_changes > 0, "no change landed during propagation"
     assert all(event.processed for event in pending)
+
+
+# ---------------------------------------------------------------------------
+# targeted invalidation: a topology change drops only the changed pair
+# ---------------------------------------------------------------------------
+
+CHANNEL_SETS = ((), ("c0",), ("c0", "c1"), ("c1", "c1"))
+site_names = st.sampled_from("abcd")
+transfer_op = st.tuples(
+    st.just("transfer"), site_names, site_names,
+    st.floats(1e5, 5e8), st.sampled_from(CHANNEL_SETS),
+)
+change_op = st.tuples(
+    st.just("change"), site_names, site_names,
+    st.sampled_from([None, 50 * MBPS, 400 * MBPS, 2 * GBPS]),
+    st.sampled_from([None, 0.0, 0.01, 0.2]),
+    st.booleans(),
+)
+advance_op = st.tuples(st.just("advance"), st.sampled_from([0.0, 0.001, 0.05, 3.0]))
+cap_op = st.tuples(st.just("cap"), st.sampled_from([None, 200 * MBPS, 500 * MBPS]))
+
+
+def region_topology():
+    """Four sites: two zones of one region, a second US region and the
+    EU, so pairs cross zones, regions and continents."""
+    topo = Topology()
+    for name, zone, region, continent in (
+        ("a", "us-east-1", "us-east", "US"),
+        ("b", "us-east-2", "us-east", "US"),
+        ("c", "us-west-1", "us-west", "US"),
+        ("d", "eu-west-1", "eu-west", "EU"),
+    ):
+        topo.add_site(Site(name=name, provider="gc", zone=zone, region=region,
+                           continent=continent, nic_bps=1 * GBPS))
+    return topo
+
+
+def assert_routes_match_fresh(fabric):
+    """Every cached route equals a fresh fabric's resolution over a copy
+    of the topology, and every state holds its rid-derived capacity."""
+    topology = copy.deepcopy(fabric.topology)
+    topology._path_cache.clear()  # resolve every pair from scratch
+    fresh = Fabric(Environment(), topology, stream_cap_bps=fabric.stream_cap_bps)
+    for name, capacity in fabric._channel_caps.items():
+        fresh.define_channel(name, capacity)
+    for key, entry in fabric._rid_cache.items():
+        expected = fresh._resolve_transfer(*key)
+        assert entry[:4] + entry[5:] == expected[:4] + expected[5:], key
+        assert [s.rid for s in entry[4]] == [s.rid for s in expected[4]], key
+        assert entry[5] == effective_ceiling_bps(entry[2], 1, fabric.stream_cap_bps)
+        assert all(fabric._states[s.rid] is s for s in entry[4])
+    for rid, state in fabric._states.items():
+        assert state.capacity == resource_capacity(fresh, rid), rid
+    if fabric._pair_routes is not None:
+        indexed = [key for keys in fabric._pair_routes.values() for key in keys]
+        assert sorted(indexed) == sorted(fabric._rid_cache)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.one_of(transfer_op, change_op, advance_op, cap_op),
+                    min_size=1, max_size=30))
+def test_targeted_invalidation_matches_fresh_resolution(ops):
+    topo = region_topology()
+    env = Environment()
+    fabric = Fabric(env, topo, stream_cap_bps=500 * MBPS)
+    fabric.define_channel("c0", 300 * MBPS)
+    fabric.define_channel("c1", 800 * MBPS)
+    snapshot: dict = {}
+    changed: set = set()
+    # End on a transfer, so a trailing bare set_path is caught up too.
+    for op in [*ops, ("transfer", "a", "d", 1e6, ())]:
+        if op[0] == "transfer":
+            __, src, dst, nbytes, channels = op
+            fabric.transfer(src, dst, nbytes, channels=channels)
+            # A transfer catches up first, after a bare set_path too.
+            assert fabric._topology_version == topo._version
+        elif op[0] == "change":
+            __, a, b, capacity, rtt, notify = op
+            topo.set_path(a, b, capacity_bps=capacity, rtt_s=rtt)
+            changed.add(frozenset((a, b)))
+            if notify:
+                fabric.on_topology_change()
+                env.run(until=env.now)  # the deferred refill catches up
+                assert fabric._topology_version == topo._version
+        elif op[0] == "cap":
+            fabric.stream_cap_bps = op[1]
+            snapshot = {}  # every route's ceiling assumed the old cap
+        else:
+            env.run(until=env.now + op[1])
+        if fabric._topology_version != topo._version:
+            continue  # until the next transfer or rebalance
+        assert_routes_match_fresh(fabric)
+        for key, entry in snapshot.items():
+            if frozenset(key[:2]) not in changed:
+                assert fabric._rid_cache[key] is entry, key
+        snapshot = dict(fabric._rid_cache)
+        changed = set()
+        if fabric._flows and at_complete_instant(env, fabric):
+            assert_rates_match(env, fabric)

@@ -201,6 +201,41 @@ def test_undefined_channel_rejected():
         fabric.transfer("a", "b", 100.0, channels=("nope",))
 
 
+def test_undefined_channel_creates_no_state_and_no_route():
+    # The route b->a would create egress:b and ingress:a; every channel
+    # is validated first, so the failed transfer leaves no trace.
+    topo = two_site_topology()
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.define_channel("ser", 100e6)
+    fabric.transfer("a", "b", 100.0, channels=("ser",))
+    states = dict(fabric._states)
+    routes = dict(fabric._rid_cache)
+    with pytest.raises(KeyError, match="undefined channel 'nope'"):
+        fabric.transfer("b", "a", 100.0, channels=("ser", "nope"))
+    assert fabric._states == states
+    assert fabric._rid_cache == routes
+
+
+def test_set_path_drops_only_the_changed_pair():
+    # No on_topology_change(): the next transfer still sees the change.
+    topo = two_site_topology(rtt=0.2)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    for src, dst in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")):
+        fabric.transfer(src, dst, 1e6)
+    kept = {key: fabric._rid_cache[key] for key in (("a", "c", ()), ("c", "b", ()))}
+    path_state = fabric._states["path:a|b"]
+    topo.set_path("b", "a", capacity_bps=0.1 * GBPS, rtt_s=0.4)
+    flow = fabric._event_flows[fabric.transfer("b", "a", 1e6)]
+    assert path_state.capacity == 0.1 * GBPS
+    assert flow.states[2] is path_state
+    assert fabric._rid_cache[("b", "a", ())][3] == 0.2
+    assert ("a", "b", ()) not in fabric._rid_cache
+    for key, entry in kept.items():
+        assert fabric._rid_cache[key] is entry
+
+
 def test_channel_capacity_validation():
     topo = two_site_topology()
     env = Environment()

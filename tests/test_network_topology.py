@@ -109,6 +109,24 @@ class TestTopology:
         assert topo.path("b", "a") is not before
         assert topo.path("b", "a").capacity_bps == 1 * GBPS
 
+    def test_set_path_keeps_other_pairs_and_records_the_pair(self):
+        topo = Topology()
+        for name in ("a", "b", "c"):
+            topo.add_site(make_site(name))
+        kept = topo.path("c", "a")
+        topo.path("a", "b")
+        version = topo._version
+        topo.set_path("b", "a", rtt_s=0.1)
+        topo.set_path("a", "c", rtt_s=0.2)
+        assert topo._path_cache == {}
+        topo.path("c", "a")
+        topo.set_path("a", "b", rtt_s=0.3)
+        assert topo._path_cache.keys() == {("a", "c"), ("c", "a")}
+        assert topo.path("c", "a") is not kept
+        assert topo.changed_since(version) == [("b", "a"), ("a", "c"), ("a", "b")]
+        assert topo.changed_since(version + 2) == [("a", "b")]
+        assert topo.changed_since(topo._version) == []
+
     def test_override_applies_in_both_directions(self):
         topo = Topology()
         topo.add_site(make_site("a"))

@@ -155,6 +155,30 @@ class TestRunCache:
         assert result_to_record(job, warm) == result_to_record(job, cold)
         assert warm.run.fault_counts == cold.run.fault_counts
 
+    def test_entries_are_compact_and_indented_ones_still_hit(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        _, cold = self._warm(cache)
+        [path] = list((tmp_path / "cache" / "objects").rglob("*.json"))
+        text = path.read_text()
+        document = json.loads(text)
+        assert document["schema"] == "repro-cache/1"
+        assert text == json.dumps(
+            document, sort_keys=True, separators=(",", ":")) + "\n"
+
+        # The layout earlier versions wrote: same document, indented.
+        with open(path, "w") as handle:
+            json.dump(document, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        fresh = RunCache(tmp_path / "cache")
+        assert fresh.get(path.stem) == document["record"]
+        orch, warm = self._warm(fresh)
+        assert orch.executed == 0 and fresh.hits == 2 and fresh.errors == 0
+        job = ExperimentJob.make("A-2", "conv", epochs=2,
+                                 account_data_loading=False,
+                                 monitor_interval_s=None)
+        assert result_to_record(job, warm) == result_to_record(job, cold)
+        assert fresh.verify() == []
+
     def test_telemetry_counters_mirrored(self, tmp_path):
         tel = Telemetry()
         with use_telemetry(tel):

@@ -260,3 +260,40 @@ def test_property_run_accounting_identities(peers, locations, epochs,
             assert end <= start
 
     assert run_hivemind(config) == result
+
+
+# --- fault schedules: fuzzed runs finish and repeat --------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    intensity=st.floats(min_value=0.0, max_value=4.0),
+    horizon_s=st.floats(min_value=60.0, max_value=3600.0),
+)
+def test_property_fuzzed_fault_schedules_finish_and_repeat(seed, intensity,
+                                                           horizon_s):
+    topology = build_topology({"gc:us": 2, "gc:eu": 2})
+    sites = list(topology.sites)
+    schedule = generate_schedule(
+        sites, seed=seed, intensity=intensity, horizon_s=horizon_s,
+        zones={site: topology.get(site).zone for site in sites},
+    )
+    config = HivemindRunConfig(
+        model="conv", peers=[PeerSpec(site, "t4") for site in sites],
+        topology=topology, epochs=2, fault_schedule=schedule,
+        monitor_interval_s=None,
+    )
+
+    def outcome(result):
+        return (
+            result.throughput_sps,
+            [(e.calc_s, e.matchmaking_s, e.transfer_s) for e in result.epochs],
+            result.egress_bytes_by_class,
+            result.egress_bytes_by_site,
+        )
+
+    # A failed event nothing handles raises out of the run.
+    first = run_hivemind(config)
+    assert len(first.epochs) == 2
+    assert outcome(run_hivemind(config)) == outcome(first)
