@@ -10,7 +10,10 @@ bit-exactly.
 throughput penalty next to the resilience counters (rounds retried,
 degraded epochs, forced interruptions, state re-syncs, aborted
 transfers) — the simulator's answer to Section 7's "what does an
-unreliable substrate actually cost?".
+unreliable substrate actually cost?". The clean point and the faulted
+points go to the ambient orchestrator as one batch, so the report is
+cached and parallelized like the paper's figures; the clean job carries
+no schedule, so it shares its cache entry with a plain run.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Optional, Sequence
 
 from ..faults import FaultSchedule, generate_schedule
 from ..hivemind import RunResult
-from ..orchestrator import current_orchestrator
+from ..orchestrator import ExperimentJob, current_orchestrator
 from .configs import get_spec
-from .figures import Report
+from .figures import Report, _results
 
 __all__ = ["run_chaos", "resilience_report", "chaos_schedule_for"]
 
@@ -111,17 +114,22 @@ def resilience_report(
     """Fault intensity → throughput penalty sweep for one experiment.
 
     The first row is the clean baseline (intensity 0, no schedule); the
-    penalty column is relative to it.
+    penalty column is relative to it. The clean point and every faulted
+    point run as one batch on the ambient orchestrator.
     """
-    clean = current_orchestrator().experiment(
-        key, model, target_batch_size=target_batch_size, epochs=epochs,
-    ).run
+    def job(**overrides) -> ExperimentJob:
+        return ExperimentJob.make(key, model,
+                                  target_batch_size=target_batch_size,
+                                  epochs=epochs, **overrides)
+
+    jobs = [job()] + [
+        job(fault_schedule=chaos_schedule_for(
+            key, seed=seed, intensity=intensity, horizon_s=horizon_s))
+        for intensity in intensities
+    ]
+    clean, *faulted = (result.run for result in _results(jobs))
     rows = [_chaos_row(0.0, clean, clean.throughput_sps)]
-    for intensity in intensities:
-        result, __ = run_chaos(
-            key, model, epochs=epochs, intensity=intensity, seed=seed,
-            horizon_s=horizon_s, target_batch_size=target_batch_size,
-        )
+    for intensity, result in zip(intensities, faulted):
         rows.append(_chaos_row(intensity, result, clean.throughput_sps))
     return Report(
         "resilience",

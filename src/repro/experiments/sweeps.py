@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ..orchestrator import ExperimentJob, Orchestrator, RunCache, Uncacheable
-from .runner import ExperimentResult, run_experiment
+from ..orchestrator import ExperimentJob, Orchestrator, RunCache
+from .runner import ExperimentResult
 
 __all__ = ["SweepFailure", "SweepGrid", "SweepResult", "run_sweep"]
 
@@ -114,39 +114,6 @@ class SweepResult:
         return path
 
 
-def _grid_jobs(grid: SweepGrid, epochs: int,
-               **overrides) -> list[ExperimentJob]:
-    return [
-        ExperimentJob.make(experiment, model, target_batch_size=tbs,
-                           epochs=epochs, **overrides)
-        for model, experiment, tbs in grid.points()
-    ]
-
-
-def _run_sweep_direct(grid: SweepGrid, epochs: int,
-                      progress: Optional[callable],
-                      **overrides) -> SweepResult:
-    """Legacy serial path for overrides the fingerprint cannot carry."""
-    sweep = SweepResult()
-    for point in grid.points():
-        model, experiment, tbs = point
-        try:
-            result = run_experiment(experiment, model,
-                                    target_batch_size=tbs, epochs=epochs,
-                                    **overrides)
-        except Exception as error:  # e.g. OOM configurations
-            sweep.failures.append(SweepFailure(
-                point=point, error=str(error),
-                error_type=type(error).__name__,
-            ))
-            continue
-        sweep.results.append(result)
-        sweep.executed += 1
-        if progress is not None:
-            progress(result)
-    return sweep
-
-
 def run_sweep(
     grid: SweepGrid,
     epochs: int = 3,
@@ -162,14 +129,15 @@ def run_sweep(
     failure records are merged in grid order, so the sweep's exports do
     not depend on the worker count. Pass ``cache`` to reuse results
     across invocations, or a preconfigured ``orchestrator`` (which
-    wins over both knobs).
+    wins over both knobs). An override the fingerprint cannot carry
+    raises :class:`~repro.orchestrator.Uncacheable` before any point
+    runs.
     """
-    try:
-        grid_jobs = _grid_jobs(grid, epochs, **overrides)
-    except Uncacheable:
-        # An override that cannot be fingerprinted (live telemetry
-        # sink, ad-hoc object): run the historical serial path.
-        return _run_sweep_direct(grid, epochs, progress, **overrides)
+    grid_jobs = [
+        ExperimentJob.make(experiment, model, target_batch_size=tbs,
+                           epochs=epochs, **overrides)
+        for model, experiment, tbs in grid.points()
+    ]
     if orchestrator is None:
         orchestrator = Orchestrator(cache=cache, jobs=jobs)
     sweep = SweepResult()

@@ -323,7 +323,11 @@ class Fabric:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         if self.topology._version != self._topology_version:
+            # A bare ``set_path`` nobody reported: account progress at
+            # the old rates and refill, as ``on_topology_change`` would.
             self._refresh_topology_caches()
+            self._advance_clock()
+            self._mark_dirty()
         entry = self._rid_cache.get((src, dst, channels))
         if entry is None:
             entry = self._resolve_transfer(src, dst, channels)

@@ -35,9 +35,9 @@ from .jobs import (
     job_key,
     result_from_record,
     result_to_record,
+    run_job,
 )
 from .store import CACHE_SCHEMA, CacheEntry, RunCache, resolve_cache_dir
-from .worker import run_job
 
 __all__ = [
     "BaselineJob",

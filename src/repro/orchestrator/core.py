@@ -1,9 +1,9 @@
 """The orchestrator: cache-aware, optionally parallel job execution.
 
-:class:`Orchestrator` is the single front door for running experiment
-and baseline jobs. Every call path — ``repro sweep``, figure
-generation, the resilience reports, the benchmark harness — funnels
-through it, so caching and parallelism are implemented once:
+:class:`Orchestrator` is the one place a run is looked up, executed and
+stored. Every call path — ``repro sweep``, figure generation, the
+resilience reports, the benchmark harness — funnels through it, so
+caching and parallelism are implemented once:
 
 * :meth:`run` runs one job with the full lookup chain (in-memory memo
   → on-disk cache → execute) and raises simulation errors exactly like
@@ -13,6 +13,12 @@ through it, so caching and parallelism are implemented once:
   misses out over a process pool when ``jobs > 1``; outcomes come back
   in input order, and failures are returned as records, not raised.
   Each report body submits its whole point list as one batch.
+
+Both go through one lookup (``_hit``) and one store (``_keep``). A job
+whose overrides the fingerprint cannot carry is rejected when it is
+built (:class:`~repro.orchestrator.Uncacheable`); there is no uncached
+side path. Telemetry reaches runs through
+:func:`~repro.telemetry.use_telemetry`, not through an override.
 
 The ambient orchestrator (:func:`use_orchestrator` /
 :func:`current_orchestrator`) lets the figure code find the active
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 from .executor import default_worker_count, run_wire_jobs
-from .fingerprint import Uncacheable
 from .jobs import (
     ExperimentJob,
     Job,
@@ -84,7 +89,6 @@ class Orchestrator:
         self._memo: dict[str, Any] = {}
         self.memo_hits = 0
         self.executed = 0
-        self.uncacheable = 0
 
     # -- stats -------------------------------------------------------------
 
@@ -102,54 +106,57 @@ class Orchestrator:
             "misses": self.misses,
             "executed": self.executed,
             "memo_hits": self.memo_hits,
-            "uncacheable": self.uncacheable,
             "cache_puts": self.cache.puts if self.cache else 0,
             "cache_errors": self.cache.errors if self.cache else 0,
         }
+
+    # -- lookup and store --------------------------------------------------
+
+    def _hit(self, job: Job, key: str) -> Optional[JobOutcome]:
+        """The memo's or the disk cache's result for ``key``, if any."""
+        if key in self._memo:
+            self.memo_hits += 1
+            return JobOutcome(job, result=self._memo[key], source="memo")
+        if self.cache is not None:
+            record = self.cache.get(key)
+            if record is not None:
+                result = result_from_record(record)
+                self._memo[key] = result
+                return JobOutcome(job, result=result, source="cache")
+        return None
+
+    def _keep(self, job: Job, key: str, result,
+              record: Optional[dict] = None):
+        """Store an executed result in the disk cache and the memo."""
+        if self.cache is not None:
+            if record is None:
+                record = result_to_record(job, result)
+            self.cache.put(key, job.fingerprint(), record)
+        self._memo[key] = result
+        return result
 
     # -- single-job API ----------------------------------------------------
 
     def experiment(self, key: str, model: str,
                    target_batch_size: int = 32768, epochs: int = 3,
                    spot: bool = True, **overrides):
-        """Cache-aware ``run_experiment``; raises like the original."""
-        try:
-            job = ExperimentJob.make(
-                key, model, target_batch_size=target_batch_size,
-                epochs=epochs, spot=spot, **overrides,
-            )
-        except Uncacheable:
-            # An override the fingerprint cannot capture (a telemetry
-            # sink, an ad-hoc object): run uncached rather than guess.
-            from ..experiments.runner import run_experiment
-
-            self.uncacheable += 1
-            self.executed += 1
-            return run_experiment(
-                key, model, target_batch_size=target_batch_size,
-                epochs=epochs, spot=spot, **overrides,
-            )
-        return self.run(job)
+        """Cache-aware ``run_experiment``; raises like the original, and
+        :class:`Uncacheable` for an override the fingerprint cannot
+        carry."""
+        return self.run(ExperimentJob.make(
+            key, model, target_batch_size=target_batch_size,
+            epochs=epochs, spot=spot, **overrides,
+        ))
 
     def run(self, job: Job):
         """One job through memo → disk cache → execute; raises like
         ``run_experiment`` / ``centralized_baseline``."""
         key = job_key(job)
-        if key in self._memo:
-            self.memo_hits += 1
-            return self._memo[key]
-        if self.cache is not None:
-            record = self.cache.get(key)
-            if record is not None:
-                result = result_from_record(record)
-                self._memo[key] = result
-                return result
+        hit = self._hit(job, key)
+        if hit is not None:
+            return hit.result
         self.executed += 1
-        result = execute_job(job)  # simulation errors propagate
-        if self.cache is not None:
-            self.cache.put(key, job.fingerprint(), result_to_record(job, result))
-        self._memo[key] = result
-        return result
+        return self._keep(job, key, execute_job(job))  # errors propagate
 
     # -- batch API ---------------------------------------------------------
 
@@ -164,61 +171,36 @@ class Orchestrator:
         batch over the same points is pure hits.
         """
         jobs = list(jobs)
-        outcomes: list[Optional[JobOutcome]] = [None] * len(jobs)
-        pending: list[int] = []
+        outcomes: list[Optional[JobOutcome]] = []
         keys: list[Optional[str]] = []
-        for index, job in enumerate(jobs):
+        for job in jobs:
             try:
                 key = job_key(job)
-            except Uncacheable:
-                self.uncacheable += 1
-                keys.append(None)
-                pending.append(index)
-                continue
             except Exception:
                 # Invalid job (e.g. unknown experiment key): run it
                 # inline so the failure surfaces as an ordinary record
                 # with the same traceback a serial run produces.
-                keys.append(None)
-                pending.append(index)
-                continue
+                key = None
             keys.append(key)
-            if key in self._memo:
-                self.memo_hits += 1
-                outcomes[index] = JobOutcome(job, result=self._memo[key],
-                                             source="memo")
-                continue
-            if self.cache is not None:
-                record = self.cache.get(key)
-                if record is not None:
-                    result = result_from_record(record)
-                    self._memo[key] = result
-                    outcomes[index] = JobOutcome(job, result=result,
-                                                 source="cache")
-                    continue
-            pending.append(index)
+            outcomes.append(None if key is None else self._hit(job, key))
 
-        poolable = [i for i in pending if keys[i] is not None]
-        inline = [i for i in pending if keys[i] is None]
-        if self.jobs > 1 and len(poolable) > 1:
-            wires = [jobs[i].to_wire() for i in poolable]
+        pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        pooled = [i for i in pending if keys[i] is not None]
+        if self.jobs > 1 and len(pooled) > 1:
             raw = run_wire_jobs(
-                wires,
+                [jobs[i].to_wire() for i in pooled],
                 max_workers=default_worker_count(self.jobs),
                 timeout_s=self.timeout_s,
                 retries=self.retries,
                 mp_context=self.mp_context,
             )
-            for index, outcome in zip(poolable, raw):
-                self.executed += 1
+            for index, outcome in zip(pooled, raw):
                 outcomes[index] = self._absorb(jobs[index], keys[index],
                                                outcome)
-        else:
-            inline = pending
-            poolable = []
-        for index in inline:
-            self.executed += 1
-            outcomes[index] = self._execute_inline(jobs[index], keys[index])
+        for index in pending:
+            if outcomes[index] is None:
+                outcomes[index] = self._execute_inline(jobs[index],
+                                                       keys[index])
 
         if progress is not None:
             for outcome in outcomes:
@@ -228,28 +210,24 @@ class Orchestrator:
         return outcomes  # type: ignore[return-value]
 
     def _execute_inline(self, job: Job, key: Optional[str]) -> JobOutcome:
+        self.executed += 1
         try:
             result = execute_job(job)
         except Exception as error:
             return JobOutcome(job, failure=format_failure(error))
         if key is not None:
-            if self.cache is not None:
-                self.cache.put(key, job.fingerprint(),
-                               result_to_record(job, result))
-            self._memo[key] = result
+            self._keep(job, key, result)
         return JobOutcome(job, result=result)
 
     def _absorb(self, job: Job, key: str, outcome: dict) -> JobOutcome:
+        self.executed += 1
         if not outcome.get("ok"):
             return JobOutcome(
                 job, failure=JobFailure.from_dict(outcome["failure"])
             )
         record = outcome["record"]
-        if self.cache is not None:
-            self.cache.put(key, job.fingerprint(), record)
         result = result_from_record(record)
-        self._memo[key] = result
-        return JobOutcome(job, result=result)
+        return JobOutcome(job, result=self._keep(job, key, result, record))
 
 
 # -- ambient orchestrator ---------------------------------------------------

@@ -10,7 +10,7 @@ could perturb).
 Failure handling is two-level:
 
 * *simulation* errors are caught inside the worker
-  (:func:`repro.orchestrator.worker.run_job`) and come back as ordinary
+  (:func:`repro.orchestrator.jobs.run_job`) and come back as ordinary
   ``{"ok": False}`` outcomes; they are never retried, because a
   deterministic sim fails the same way every time;
 * *infrastructure* errors — a per-job timeout, a worker process dying
@@ -31,8 +31,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
-from .jobs import JobFailure
-from .worker import run_job
+from .jobs import JobFailure, run_job
 
 __all__ = ["run_wire_jobs", "default_worker_count"]
 

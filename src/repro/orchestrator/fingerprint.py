@@ -18,9 +18,10 @@ dataclasses (:class:`~repro.faults.FaultSchedule`,
 :class:`~repro.hivemind.PeerSpec`,
 :class:`~repro.cloud.SpotPriceModel` and the control-plane policies)
 are accepted. Anything else —
-live telemetry sinks, ad-hoc objects — raises :class:`Uncacheable`,
-and the orchestrator falls back to running the job inline without the
-cache rather than hashing an unstable representation.
+live telemetry sinks, ad-hoc objects — raises :class:`Uncacheable`
+when the job is built, so such a run is rejected rather than hashed
+from an unstable representation; telemetry reaches runs through
+:func:`~repro.telemetry.use_telemetry` instead.
 
 Bump :data:`FINGERPRINT_VERSION` whenever the simulation's semantics
 change in a result-affecting way that the fingerprint fields cannot

@@ -10,7 +10,8 @@ A job is the unit the orchestrator schedules, fingerprints and caches:
   price).
 
 Jobs travel between processes as plain dicts (``to_wire`` /
-``from_wire``), execute via :func:`execute_job`, and their results
+``from_wire``), execute via :func:`execute_job` (in a pool worker, via
+:func:`run_job`), and their results
 serialize to JSON ``records`` (:func:`result_to_record`) that the
 content-addressed store persists and :func:`result_from_record`
 rehydrates — including a reconstructed
@@ -38,6 +39,7 @@ from .fingerprint import (
     fingerprint_key,
     revive,
 )
+from .store import CACHE_SCHEMA
 
 __all__ = [
     "BaselineJob",
@@ -49,9 +51,8 @@ __all__ = [
     "job_from_wire",
     "result_from_record",
     "result_to_record",
+    "run_job",
 ]
-
-RECORD_SCHEMA = "repro-cache/1"
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class ExperimentJob:
 
         spec = get_spec(self.key)
         return {
-            "schema": RECORD_SCHEMA,
+            "schema": CACHE_SCHEMA,
             "fingerprint_version": FINGERPRINT_VERSION,
             "kind": self.kind,
             "experiment": self.key,
@@ -138,7 +139,7 @@ class BaselineJob:
 
     def fingerprint(self) -> dict:
         return {
-            "schema": RECORD_SCHEMA,
+            "schema": CACHE_SCHEMA,
             "fingerprint_version": FINGERPRINT_VERSION,
             "kind": self.kind,
             "baseline": self.name,
@@ -245,6 +246,25 @@ def execute_job(job: Job):
     )
 
 
+def run_job(wire: dict) -> dict:
+    """Execute one wire-format job; never raises for sim errors.
+
+    The only function the process pool executes. It takes a plain-JSON
+    job dict (safe to pickle under any start method) and returns an
+    outcome dict: ``{"ok": True, "record": ...}`` on success or
+    ``{"ok": False, "failure": ...}`` when the simulation raised, with
+    the same trimmed traceback the inline path produces. Workers never
+    touch the cache: reads and writes stay in the parent, so the store
+    needs no cross-process locking.
+    """
+    job = job_from_wire(wire)
+    try:
+        result = execute_job(job)
+    except Exception as error:
+        return {"ok": False, "failure": format_failure(error).to_dict()}
+    return {"ok": True, "record": result_to_record(job, result)}
+
+
 # -- result (de)serialization -----------------------------------------------
 
 _EXPERIMENT_SCALARS = (
@@ -292,7 +312,7 @@ def result_to_record(job: Job, result) -> dict:
     if doc["granularity"] == float("inf"):
         doc["granularity"] = "inf"
     return {
-        "schema": RECORD_SCHEMA,
+        "schema": CACHE_SCHEMA,
         "kind": job.kind,
         "job": job.to_wire(),
         "result": doc,
@@ -343,10 +363,10 @@ def result_from_record(record: dict):
     """Rehydrate an ``ExperimentResult`` (and its run) from a record."""
     from ..experiments.runner import ExperimentResult
 
-    if record.get("schema") != RECORD_SCHEMA:
+    if record.get("schema") != CACHE_SCHEMA:
         raise ValueError(
             f"unsupported record schema {record.get('schema')!r}; "
-            f"expected {RECORD_SCHEMA!r}"
+            f"expected {CACHE_SCHEMA!r}"
         )
     job = job_from_wire(record["job"])
     doc = dict(record["result"])

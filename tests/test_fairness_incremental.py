@@ -20,7 +20,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network import Fabric, GBPS, MBPS, Site, Topology
@@ -364,6 +364,10 @@ def assert_routes_match_fresh(fabric):
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(st.one_of(transfer_op, change_op, advance_op, cap_op),
                     min_size=1, max_size=30))
+# A bare set_path lowers a live flow's path; the next transfer catches
+# it up and must refill, or the flow keeps its old 500 Mb/s rate.
+@example(ops=[("transfer", "a", "b", 5e8, ()), ("advance", 0.05),
+              ("change", "a", "b", 50 * MBPS, None, False)])
 def test_targeted_invalidation_matches_fresh_resolution(ops):
     topo = region_topology()
     env = Environment()

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.experiments import REPORTS, SweepGrid, generate, render, run_sweep
-from repro.experiments.resilience import chaos_schedule_for
+from repro.experiments.resilience import chaos_schedule_for, resilience_report
 from repro.orchestrator import (
     BaselineJob,
     ExperimentJob,
@@ -26,6 +26,7 @@ from repro.orchestrator import (
     result_to_record,
     revive,
     run_wire_jobs,
+    use_orchestrator,
 )
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -256,13 +257,16 @@ class TestOrchestrator:
         assert orch.run(BaselineJob("1xA10", "conv")) is first
         assert orch.executed == 1 and orch.memo_hits == 1
 
-    def test_uncacheable_falls_back_to_direct_run(self):
+    def test_uncacheable_override_is_rejected(self):
+        # Telemetry reaches runs through use_telemetry; as an override it
+        # is refused before anything runs, by the job and by the sweep.
         orch = Orchestrator()
-        result = orch.experiment("A-2", "conv", epochs=2,
-                                 telemetry=Telemetry())
-        assert result.throughput_sps > 0
-        assert orch.uncacheable == 1
-        assert not orch._memo
+        with pytest.raises(Uncacheable):
+            orch.experiment("A-2", "conv", epochs=2, telemetry=Telemetry())
+        with pytest.raises(Uncacheable):
+            run_sweep(SweepGrid(models=("conv",), experiments=("A-2",)),
+                      epochs=2, orchestrator=orch, telemetry=Telemetry())
+        assert orch.executed == 0 and not orch._memo
 
     def test_simulation_errors_still_raise(self):
         orch = Orchestrator()
@@ -451,6 +455,24 @@ class TestReportBatches:
         # Every point executes once, expected failures included (fig15's
         # 4xT4-DDP baseline runs out of memory for NLP).
         assert parallel_executed == serial_executed == requested
+
+
+class TestResilienceBatch:
+    ARGS = ("B-2", "rn18", (1.0, 2.0))
+
+    def test_one_batch_matches_serial_and_memoizes(self, requested_keys):
+        serial = resilience_report(*self.ARGS, epochs=2)
+        orch = Orchestrator(jobs=2)
+        with use_orchestrator(orch):
+            parallel = resilience_report(*self.ARGS, epochs=2)
+            assert render(parallel) == render(serial)
+            assert orch.executed == len(requested_keys) == 3
+            assert resilience_report(*self.ARGS, epochs=2).rows \
+                == parallel.rows
+        assert orch.executed == 3 and orch.memo_hits == 3
+        # The clean point carries no schedule: it is the plain run.
+        assert job_key(ExperimentJob.make("B-2", "rn18", epochs=2)) \
+            in requested_keys
 
 
 # ---------------------------------------------------------------------------
