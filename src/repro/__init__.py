@@ -14,24 +14,20 @@ figure of the paper's evaluation. Subpackages:
 - :mod:`repro.hivemind` — DHT, matchmaking, Moshpit averaging, runs,
 - :mod:`repro.core` — granularity, prediction, costs, planner,
 - :mod:`repro.experiments` — experiment specs and figure regeneration.
+
+Every package loads its public names on first use, so ``import repro``
+loads no subpackage and no numpy.
 """
+
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-from .core import evaluate_setup, predict
-from .experiments import generate, render, run_experiment
-from .hivemind import HivemindRunConfig, PeerSpec, run_hivemind
-from .network import build_topology
-
-__all__ = [
-    "HivemindRunConfig",
-    "PeerSpec",
-    "__version__",
-    "build_topology",
-    "evaluate_setup",
-    "generate",
-    "predict",
-    "render",
-    "run_experiment",
-    "run_hivemind",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    core=("evaluate_setup", "predict"),
+    experiments=("generate", "render", "run_experiment"),
+    hivemind=("HivemindRunConfig", "PeerSpec", "run_hivemind"),
+    network=("build_topology",),
+)
+__all__.append("__version__")

@@ -28,20 +28,12 @@ import json
 import os
 import sys
 
-from .core import evaluate_setup
-from .experiments import (
-    generate,
-    render,
-    render_scorecard,
-    report_keys,
-    run_validation,
-)
-from .network import build_topology
-
 __all__ = ["main"]
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments import report_keys
+
     for key in report_keys():
         print(key)
     return 0
@@ -49,6 +41,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _format_report(report, fmt: str) -> str:
     if fmt == "text":
+        from .experiments import render
+
         return render(report)
     if fmt == "json":
         return json.dumps(
@@ -128,6 +122,8 @@ def _print_cache_stats(orchestrator) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     import contextlib
 
+    from .experiments import generate, report_keys
+
     tel = _telemetry_sink(args)
     scope = (
         contextlib.nullcontext() if tel is None else _use_telemetry_scope(tel)
@@ -177,8 +173,13 @@ def _use_telemetry_scope(tel):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one experiment or report end to end and summarize it."""
-    from .experiments import EXPERIMENTS, epoch_breakdown, run_experiment
-    from .experiments.figures import report_keys
+    from .experiments import (
+        EXPERIMENTS,
+        epoch_breakdown,
+        generate,
+        report_keys,
+        run_experiment,
+    )
     from .telemetry import Telemetry, use_telemetry, validate_chrome_trace
     from .telemetry.export import to_chrome_trace
 
@@ -258,8 +259,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Fault-injection runs: single intensity or a resilience sweep."""
-    from .experiments import resilience_report, run_chaos
-    from .experiments.figures import Report
+    from .experiments import Report, resilience_report, run_chaos
     from .faults import FaultSchedule
 
     _require_writable_dirs(
@@ -320,6 +320,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .experiments import render_scorecard, run_validation
+
     rows = run_validation(epochs=args.epochs)
     print(render_scorecard(rows))
     failed = sum(1 for row in rows if not row.ok)
@@ -435,6 +437,9 @@ def _parse_setup(tokens: list[str]) -> dict[str, int]:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
+    from .core import evaluate_setup
+    from .network import build_topology
+
     counts = _parse_setup(args.setup)
     topology = build_topology(counts)
     peers = []

@@ -25,33 +25,22 @@ Set ``HivemindRunConfig.policy`` (plus ``standby_peers`` /
 for byte as before.
 """
 
-from .controller import Controller
-from .market import TZ_OFFSET_HOURS, default_price_models
-from .policy import (
-    POLICIES,
-    Action,
-    AdaptivePolicy,
-    Decision,
-    MigrationPolicy,
-    Observation,
-    ScalingPolicy,
-    TbsPolicy,
-    get_policy,
-    policy_names,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Action",
-    "AdaptivePolicy",
-    "Controller",
-    "Decision",
-    "MigrationPolicy",
-    "Observation",
-    "POLICIES",
-    "ScalingPolicy",
-    "TZ_OFFSET_HOURS",
-    "TbsPolicy",
-    "default_price_models",
-    "get_policy",
-    "policy_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    controller=("Controller",),
+    market=("TZ_OFFSET_HOURS", "default_price_models"),
+    policy=(
+        "POLICIES",
+        "Action",
+        "AdaptivePolicy",
+        "Decision",
+        "MigrationPolicy",
+        "Observation",
+        "ScalingPolicy",
+        "TbsPolicy",
+        "get_policy",
+        "policy_names",
+    ),
+)

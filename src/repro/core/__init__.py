@@ -1,44 +1,34 @@
 """The paper's analysis layer: granularity, prediction, costs, advice."""
 
-from .analytical import Prediction, predict
-from .costs import (
-    CallFractions,
-    CostReport,
-    VmCost,
-    call_fractions,
-    cost_per_million_samples,
-    cost_report,
-)
-from .granularity import (
-    best_speedup_when_doubling,
-    granularity,
-    peers_needed_for_speedup,
-    per_gpu_contribution,
-    speedup_from_scaling,
-)
-from .planner import (
-    Advice,
-    MIN_USEFUL_GRANULARITY,
-    evaluate_setup,
-    recommend_target_batch_size,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Advice",
-    "CallFractions",
-    "CostReport",
-    "MIN_USEFUL_GRANULARITY",
-    "Prediction",
-    "VmCost",
-    "best_speedup_when_doubling",
-    "call_fractions",
-    "cost_per_million_samples",
-    "cost_report",
-    "evaluate_setup",
-    "granularity",
-    "peers_needed_for_speedup",
-    "per_gpu_contribution",
-    "predict",
-    "recommend_target_batch_size",
-    "speedup_from_scaling",
-]
+# ``granularity`` is both a submodule and a function. Bound here, the
+# function stays the package attribute when other modules import the
+# submodule, which imports nothing, so binding it early is free.
+from .granularity import granularity as granularity
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    analytical=("Prediction", "predict"),
+    costs=(
+        "CallFractions",
+        "CostReport",
+        "VmCost",
+        "call_fractions",
+        "cost_per_million_samples",
+        "cost_report",
+    ),
+    granularity=(
+        "best_speedup_when_doubling",
+        "granularity",
+        "peers_needed_for_speedup",
+        "per_gpu_contribution",
+        "speedup_from_scaling",
+    ),
+    planner=(
+        "Advice",
+        "MIN_USEFUL_GRANULARITY",
+        "evaluate_setup",
+        "recommend_target_batch_size",
+    ),
+)

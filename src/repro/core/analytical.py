@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 from ..hardware import get_gpu, local_sps
 from ..hivemind.compression import compressed_nbytes
-from ..hivemind.matchmaking import MIN_MATCHMAKING_S, form_groups
+from ..hivemind.matchmaking import (
+    MAX_EXCHANGE_STREAMS,
+    MIN_MATCHMAKING_S,
+    form_groups,
+)
 from ..models import get_model
 from ..network import Topology
 
@@ -84,8 +88,6 @@ def _hub_stage_s(
     by all concurrently exchanging groups.
     """
     rates: dict[tuple[str, ...], float] = {}
-    from ..hivemind.averager import MAX_EXCHANGE_STREAMS
-
     for group in groups:
         if group == hub:
             continue

@@ -1,11 +1,9 @@
 """Data substrate: dataset specs and the simulated object-store link."""
 
-from .datasets import DATASETS, DatasetSpec, get_dataset
-from .storage import StoreLink
+from .._exports import lazy_exports
 
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "StoreLink",
-    "get_dataset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    datasets=("DATASETS", "DatasetSpec", "get_dataset"),
+    storage=("StoreLink",),
+)

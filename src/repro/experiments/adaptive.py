@@ -17,11 +17,15 @@ entries and replays stay byte-identical.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..controlplane import default_price_models, get_policy
 from ..hivemind import PeerSpec
 from ..orchestrator import ExperimentJob
 from .configs import get_spec
-from .figures import Report, _results
+
+if TYPE_CHECKING:
+    from .figures import Report
 
 __all__ = [
     "DEFAULT_ADAPTIVE_SETUPS",
@@ -69,6 +73,10 @@ def adaptive_report(epochs: int = 3, *, keys=DEFAULT_ADAPTIVE_SETUPS,
                     model: str = "conv",
                     policy: str = "adaptive") -> Report:
     """Static-vs-adaptive comparison over geo and multi-cloud setups."""
+    # Imported here: the market and standby helpers, which every
+    # adaptive run needs, must not load the report machinery.
+    from .figures import Report, _results
+
     pol = get_policy(policy)
     jobs = []
     for key in keys:

@@ -759,7 +759,7 @@ def section7_spot(epochs: int = 2) -> Report:
 
 def adaptive_control(epochs: int = 3, **kwargs) -> Report:
     """Static vs adaptive control-plane comparison (see PR 5)."""
-    # Late import: adaptive.py imports this module for Report/_experiment.
+    # Late import: only this report needs the control plane.
     from .adaptive import adaptive_report
 
     return adaptive_report(epochs=epochs, **kwargs)

@@ -18,13 +18,15 @@ no schedule, so it shares its cache entry with a plain run.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..faults import FaultSchedule, generate_schedule
 from ..hivemind import RunResult
 from ..orchestrator import ExperimentJob, current_orchestrator
 from .configs import get_spec
-from .figures import Report, _results
+
+if TYPE_CHECKING:
+    from .figures import Report
 
 __all__ = ["run_chaos", "resilience_report", "chaos_schedule_for"]
 
@@ -117,6 +119,10 @@ def resilience_report(
     penalty column is relative to it. The clean point and every faulted
     point run as one batch on the ambient orchestrator.
     """
+    # Imported here: schedules and single chaos runs must not load the
+    # report machinery.
+    from .figures import Report, _results
+
     def job(**overrides) -> ExperimentJob:
         return ExperimentJob.make(key, model,
                                   target_batch_size=target_batch_size,

@@ -5,27 +5,19 @@ schedule generation, and :mod:`repro.faults.injector` for the process
 that applies a schedule to a live simulation.
 """
 
-from .injector import PARTITION_FLOOR_BPS, FaultInjector
-from .schedule import (
-    FAULT_SCHEDULE_SCHEMA,
-    ComputeFault,
-    CrashFault,
-    FaultSchedule,
-    FaultTolerance,
-    LinkFault,
-    ZoneOutage,
-    generate_schedule,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ComputeFault",
-    "CrashFault",
-    "FAULT_SCHEDULE_SCHEMA",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultTolerance",
-    "LinkFault",
-    "PARTITION_FLOOR_BPS",
-    "ZoneOutage",
-    "generate_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    injector=("PARTITION_FLOOR_BPS", "FaultInjector"),
+    schedule=(
+        "FAULT_SCHEDULE_SCHEMA",
+        "ComputeFault",
+        "CrashFault",
+        "FaultSchedule",
+        "FaultTolerance",
+        "LinkFault",
+        "ZoneOutage",
+        "generate_schedule",
+    ),
+)

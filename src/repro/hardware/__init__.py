@@ -1,21 +1,15 @@
 """Accelerator catalog and calibrated throughput table."""
 
-from .calibration import (
-    CALIBRATED_SPS,
-    UnsupportedConfiguration,
-    baseline_sps,
-    local_sps,
-    supports,
-)
-from .gpus import GPUS, GpuSpec, get_gpu
+from .._exports import lazy_exports
 
-__all__ = [
-    "CALIBRATED_SPS",
-    "GPUS",
-    "GpuSpec",
-    "UnsupportedConfiguration",
-    "baseline_sps",
-    "get_gpu",
-    "local_sps",
-    "supports",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    calibration=(
+        "CALIBRATED_SPS",
+        "UnsupportedConfiguration",
+        "baseline_sps",
+        "local_sps",
+        "supports",
+    ),
+    gpus=("GPUS", "GpuSpec", "get_gpu"),
+)

@@ -36,17 +36,10 @@ from ..network import Fabric
 from ..simulation import Environment, Event, Interrupt
 from ..telemetry import NULL_TELEMETRY
 from .compression import compress, compressed_nbytes, decompress
-from .matchmaking import GroupPlan
+from .matchmaking import MAX_EXCHANGE_STREAMS, GroupPlan
 
 __all__ = ["MoshpitAverager", "AveragingResult", "Contribution",
            "MAX_EXCHANGE_STREAMS"]
-
-#: Practical cap on parallel TCP streams per group-to-group exchange.
-#: Hivemind opens one stream per peer, but high-latency links see
-#: diminishing returns well before full parallelism (the Section 7
-#: microbenchmark shows wide variation); four streams reproduces the
-#: paper's hybrid-cloud throughputs.
-MAX_EXCHANGE_STREAMS = 4
 
 
 @dataclass

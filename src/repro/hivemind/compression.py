@@ -9,7 +9,10 @@ produce are exactly what the averager ships through the fabric.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["compress", "decompress", "compressed_nbytes", "CODECS"]
 
@@ -20,6 +23,9 @@ _INT8_LEVELS = 255.0
 
 def compress(array: np.ndarray, codec: str = "fp16") -> bytes:
     """Encode a float array into the codec's wire format."""
+    # Imported here: the analytical model needs only compressed_nbytes.
+    import numpy as np
+
     array = np.ascontiguousarray(array, dtype=np.float64)
     if codec == "fp32":
         return array.astype(np.float32).tobytes()
@@ -37,6 +43,8 @@ def compress(array: np.ndarray, codec: str = "fp16") -> bytes:
 
 def decompress(payload: bytes, codec: str, size: int) -> np.ndarray:
     """Decode ``size`` values from a codec wire format (as float64)."""
+    import numpy as np
+
     if codec == "fp32":
         return np.frombuffer(payload, dtype=np.float32, count=size).astype(
             np.float64

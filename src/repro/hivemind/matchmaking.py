@@ -17,14 +17,24 @@ the study:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..network import Topology
 
-__all__ = ["GroupPlan", "form_groups", "matchmaking_delay", "MIN_MATCHMAKING_S"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["GroupPlan", "form_groups", "matchmaking_delay", "MIN_MATCHMAKING_S",
+           "MAX_EXCHANGE_STREAMS"]
 
 MIN_MATCHMAKING_S = 5.0
+
+#: Practical cap on parallel TCP streams per group-to-group exchange.
+#: Hivemind opens one stream per peer, but high-latency links see
+#: diminishing returns well before full parallelism (the Section 7
+#: microbenchmark shows wide variation); four streams reproduces the
+#: paper's hybrid-cloud throughputs.
+MAX_EXCHANGE_STREAMS = 4
 
 
 @dataclass(frozen=True)

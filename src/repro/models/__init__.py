@@ -1,18 +1,10 @@
 """Model zoo: CV, NLP and ASR workloads evaluated by the paper."""
 
-from .scaling import square_cube_family, synthetic_transformer
-from .specs import Domain, ModelSpec
-from .zoo import ASR_KEYS, CV_KEYS, MODELS, NLP_KEYS, get_model, models_in_domain
+from .._exports import lazy_exports
 
-__all__ = [
-    "ASR_KEYS",
-    "square_cube_family",
-    "synthetic_transformer",
-    "CV_KEYS",
-    "Domain",
-    "MODELS",
-    "ModelSpec",
-    "NLP_KEYS",
-    "get_model",
-    "models_in_domain",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    scaling=("square_cube_family", "synthetic_transformer"),
+    specs=("Domain", "ModelSpec"),
+    zoo=("ASR_KEYS", "CV_KEYS", "MODELS", "NLP_KEYS", "get_model", "models_in_domain"),
+)

@@ -8,64 +8,33 @@ parallel front door. See :mod:`repro.orchestrator.core` for the facade
 and :mod:`repro.orchestrator.fingerprint` for the cache-key contract.
 """
 
-from .core import (
-    JobOutcome,
-    Orchestrator,
-    current_orchestrator,
-    use_orchestrator,
-)
-from .executor import default_worker_count, run_wire_jobs
-from .fingerprint import (
-    FINGERPRINT_VERSION,
-    Uncacheable,
-    calibration_digest,
-    canonical,
-    canonical_json,
-    fingerprint_key,
-    revive,
-)
-from .jobs import (
-    BaselineJob,
-    ExperimentJob,
-    Job,
-    JobFailure,
-    execute_job,
-    format_failure,
-    job_from_wire,
-    job_key,
-    result_from_record,
-    result_to_record,
-    run_job,
-)
-from .store import CACHE_SCHEMA, CacheEntry, RunCache, resolve_cache_dir
+from .._exports import lazy_exports
 
-__all__ = [
-    "BaselineJob",
-    "CACHE_SCHEMA",
-    "CacheEntry",
-    "ExperimentJob",
-    "FINGERPRINT_VERSION",
-    "Job",
-    "JobFailure",
-    "JobOutcome",
-    "Orchestrator",
-    "RunCache",
-    "Uncacheable",
-    "calibration_digest",
-    "canonical",
-    "canonical_json",
-    "current_orchestrator",
-    "default_worker_count",
-    "execute_job",
-    "fingerprint_key",
-    "format_failure",
-    "job_from_wire",
-    "job_key",
-    "resolve_cache_dir",
-    "result_from_record",
-    "result_to_record",
-    "revive",
-    "run_job",
-    "run_wire_jobs",
-    "use_orchestrator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    core=("JobOutcome", "Orchestrator", "current_orchestrator", "use_orchestrator"),
+    executor=("default_worker_count", "run_wire_jobs"),
+    fingerprint=(
+        "FINGERPRINT_VERSION",
+        "Uncacheable",
+        "calibration_digest",
+        "canonical",
+        "canonical_json",
+        "fingerprint_key",
+        "revive",
+    ),
+    jobs=(
+        "BaselineJob",
+        "ExperimentJob",
+        "Job",
+        "JobFailure",
+        "execute_job",
+        "format_failure",
+        "job_from_wire",
+        "job_key",
+        "result_from_record",
+        "result_to_record",
+        "run_job",
+    ),
+    store=("CACHE_SCHEMA", "CacheEntry", "RunCache", "resolve_cache_dir"),
+)

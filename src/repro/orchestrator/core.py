@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
-from .executor import default_worker_count, run_wire_jobs
 from .jobs import (
     ExperimentJob,
     Job,
@@ -187,6 +186,9 @@ class Orchestrator:
         pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
         pooled = [i for i in pending if keys[i] is not None]
         if self.jobs > 1 and len(pooled) > 1:
+            # Only a pool needs multiprocessing and concurrent.futures.
+            from .executor import default_worker_count, run_wire_jobs
+
             raw = run_wire_jobs(
                 [jobs[i].to_wire() for i in pooled],
                 max_workers=default_worker_count(self.jobs),

@@ -1,25 +1,18 @@
 """Discrete-event simulation kernel used by every timed subsystem."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .rng import RandomStreams
+from .._exports import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "RandomStreams",
-    "SimulationError",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    engine=(
+        "AllOf",
+        "AnyOf",
+        "Environment",
+        "Event",
+        "Interrupt",
+        "Process",
+        "SimulationError",
+        "Timeout",
+    ),
+    rng=("RandomStreams",),
+)

@@ -16,55 +16,29 @@ Everything is timestamped with simulated seconds only, so traces are
 byte-identical across identically-seeded runs.
 """
 
-from .export import (
-    chrome_trace_events,
-    read_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    to_prometheus_text,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .sink import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    current_telemetry,
-    resolve_telemetry,
-    use_telemetry,
-)
-from .tracer import Span, Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "Span",
-    "Telemetry",
-    "Tracer",
-    "chrome_trace_events",
-    "current_telemetry",
-    "read_jsonl",
-    "resolve_telemetry",
-    "to_chrome_trace",
-    "to_jsonl",
-    "to_prometheus_text",
-    "use_telemetry",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    export=(
+        "chrome_trace_events",
+        "read_jsonl",
+        "to_chrome_trace",
+        "to_jsonl",
+        "to_prometheus_text",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_jsonl",
+        "write_prometheus",
+    ),
+    metrics=("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    sink=(
+        "NULL_TELEMETRY",
+        "NullTelemetry",
+        "Telemetry",
+        "current_telemetry",
+        "resolve_telemetry",
+        "use_telemetry",
+    ),
+    tracer=("Span", "Tracer"),
+)

@@ -1,32 +1,18 @@
 """Numerical training substrate: autograd, layers, losses, optimizers."""
 
-from .autograd import Tensor, no_grad
-from .layers import MLP, Linear, Module, ReLU, Sequential
-from .losses import cross_entropy
-from .optimizers import LAMB, SGD, Optimizer
-from .trainer import (
-    GradientAccumulator,
-    LocalTrainer,
-    TrainLog,
-    compute_gradient,
-    make_classification_data,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "GradientAccumulator",
-    "LAMB",
-    "Linear",
-    "LocalTrainer",
-    "MLP",
-    "Module",
-    "Optimizer",
-    "ReLU",
-    "SGD",
-    "Sequential",
-    "Tensor",
-    "TrainLog",
-    "compute_gradient",
-    "cross_entropy",
-    "make_classification_data",
-    "no_grad",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    autograd=("Tensor", "no_grad"),
+    layers=("MLP", "Linear", "Module", "ReLU", "Sequential"),
+    losses=("cross_entropy",),
+    optimizers=("LAMB", "SGD", "Optimizer"),
+    trainer=(
+        "GradientAccumulator",
+        "LocalTrainer",
+        "TrainLog",
+        "compute_gradient",
+        "make_classification_data",
+    ),
+)
