@@ -204,6 +204,7 @@ class RunResult:
     egress_bytes_by_class: dict[str, float]
     egress_bytes_by_site: dict[str, float]
     egress_bytes_by_pair: dict[tuple[str, str], float]
+    #: Bytes the averager's ``tag="averaging"`` flows delivered.
     averaging_bytes: float
     data_ingress_bytes_by_site: dict[str, float]
     monitor_samples: int = 0
@@ -238,6 +239,10 @@ class RunResult:
     decisions: list = field(default_factory=list)
     #: Applied control actions by kind ("migrate", "scale_up", ...).
     control_actions: dict[str, int] = field(default_factory=dict)
+    #: Metered bytes by transfer tag ("averaging", "dht", "sync", and
+    #: "data" for untagged flows); sums, up to rounding, to the egress
+    #: totals.
+    bytes_by_tag: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_samples(self) -> int:
@@ -636,7 +641,11 @@ class _Run:
                 env.run(process)
         if self.tracing:
             self.tel.sync_kernel_metrics()
-        return self._result(duration_s)
+        result = self._result(duration_s)
+        # Nothing transfers after this: free the routes now rather than
+        # when the collector reaches the cycles that hold the fabric.
+        self.fabric.close()
+        return result
 
     def _train(self):
         config, env, tel = self.config, self.env, self.tel
@@ -823,7 +832,8 @@ class _Run:
             egress_bytes_by_class=dict(meter.by_class),
             egress_bytes_by_site=dict(meter.egress_by_site),
             egress_bytes_by_pair=dict(meter.by_pair),
-            averaging_bytes=meter.total_bytes,
+            averaging_bytes=meter.by_tag.get("averaging", 0.0),
+            bytes_by_tag=dict(meter.by_tag),
             data_ingress_bytes_by_site={
                 site: link.ingress_bytes
                 for site, link in self.links.items()

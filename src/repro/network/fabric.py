@@ -59,8 +59,22 @@ in the same order and at the same float times as with one entry each:
   finished stage is freed by reference counting rather than waiting
   for the cyclic collector.
 
+When the flows found finished are the whole active set (the end of
+every averaging stage), membership is reset wholesale: the active set,
+the member set of each occupied state and the table of occupied states
+are cleared in one step, instead of removing each flow from each of its
+states. This is exact, because only occupied states have members: the
+result is the state that per-flow removal reaches, and the flows are
+then metered and completed in the same order as on the per-flow path.
+
+A fabric whose simulation is over can be closed (:meth:`Fabric.close`):
+it drops its route cache and resource states so that they are freed
+at once, even while reference cycles elsewhere keep the fabric alive,
+and refuses any later transfer.
+
 Every completed transfer is recorded in a :class:`TrafficMeter` so the
-cost model can later price egress per traffic class.
+cost model can later price egress per traffic class, and so a run can
+say which bytes were averaging, DHT or state-sync traffic.
 """
 
 from __future__ import annotations
@@ -130,18 +144,25 @@ class Flow:
 
 
 class TrafficMeter:
-    """Accumulates transferred bytes per site pair and traffic class."""
+    """Accumulates transferred bytes per site pair, traffic class and
+    tag. Billing reads the pair, class and site totals, which cover
+    every tag; ``by_tag`` says what the bytes were for."""
 
     def __init__(self):
         self.by_pair: dict[tuple[str, str], float] = defaultdict(float)
         self.by_class: dict[str, float] = defaultdict(float)
         #: Egress bytes leaving each site, keyed by site name.
         self.egress_by_site: dict[str, float] = defaultdict(float)
+        #: Bytes by the transfer's tag ("averaging", "dht", "sync", ...);
+        #: untagged transfers count as "data", as in the telemetry labels.
+        self.by_tag: dict[str, float] = defaultdict(float)
         # Traffic classification is a pure function of the (immutable)
         # site pair; memoised because record() runs once per transfer.
         self._class_memo: dict[tuple[str, str], str] = {}
 
-    def record(self, src: Site, dst: Site, nbytes: float) -> None:
+    def record(
+        self, src: Site, dst: Site, nbytes: float, tag: Optional[str] = None
+    ) -> None:
         if nbytes <= 0:
             return
         pair = (src.name, dst.name)
@@ -151,6 +172,7 @@ class TrafficMeter:
             klass = self._class_memo[pair] = classify_traffic(src, dst)
         self.by_class[klass] += nbytes
         self.egress_by_site[src.name] += nbytes
+        self.by_tag[tag or "data"] += nbytes
 
     @property
     def total_bytes(self) -> float:
@@ -160,6 +182,7 @@ class TrafficMeter:
         self.by_pair.clear()
         self.by_class.clear()
         self.egress_by_site.clear()
+        self.by_tag.clear()
 
 
 def _path_rid(a: str, b: str) -> str:
@@ -177,10 +200,12 @@ class _ResourceState:
     :meth:`Fabric._unregister_flow`; ``capacity`` is taken from the
     site, path or channel that defines the resource and refreshed when
     that path or channel changes. ``remaining`` and ``count`` are the
-    working state of one progressive-filling pass.
+    working state of one progressive-filling pass. States are
+    weak-referenceable, so a caller can check when one is freed.
     """
 
-    __slots__ = ("rid", "capacity", "members", "remaining", "count")
+    __slots__ = ("rid", "capacity", "members", "remaining", "count",
+                 "__weakref__")
 
     def __init__(self, capacity: float, rid: str = ""):
         self.rid = rid
@@ -264,6 +289,8 @@ class Fabric:
         #: at the first topology change, so a fabric that never sees one
         #: keeps no index.
         self._pair_routes: Optional[dict[str, list[tuple]]] = None
+        #: Set by :meth:`close`; route resolution refuses from then on.
+        self._closed = False
         #: True while a coalesced refill is scheduled for this instant.
         self._refill_pending = False
         #: The newest pending admission timer as (due time, kernel
@@ -391,6 +418,8 @@ class Fabric:
         persistent states of its resources and its default ceiling.
         Channel names are validated here, once per distinct (src, dst,
         channels) combination, before any state is created."""
+        if self._closed:
+            raise RuntimeError("transfer on a closed fabric")
         topology = self.topology
         src_site = topology.get(src)
         dst_site = topology.get(dst)
@@ -431,6 +460,22 @@ class Fabric:
             self._pair_routes.setdefault(pair, []).append(key)
         return entry
 
+    def close(self) -> None:
+        """Release the route cache once the simulation is over.
+
+        Drops every cached route, the per-pair route index and the
+        persistent resource states, so they are freed by reference
+        counting even while cycles elsewhere keep the fabric itself
+        alive. Every later :meth:`transfer` raises: with the cache empty
+        it must resolve its route, and resolution refuses. Flows still
+        in flight keep their states through ``flow.states``, and the
+        active set and occupied resources are left as they are.
+        """
+        self._closed = True
+        self._rid_cache.clear()
+        self._pair_routes = None
+        self._states.clear()
+
     def ping_s(self, a: str, b: str) -> float:
         """ICMP-style round-trip time between two sites, in seconds."""
         return self.topology.rtt_s(a, b)
@@ -460,7 +505,7 @@ class Fabric:
             self._mark_dirty()
         delivered = flow.total_bytes - flow.remaining_bytes
         if delivered > 0:
-            self.meter.record(flow.src, flow.dst, delivered)
+            self.meter.record(flow.src, flow.dst, delivered, flow.tag)
         if self._tracer is not None and flow.span is not None:
             self._tracer.finish(flow.span)
         self.aborted_flows += 1
@@ -494,7 +539,7 @@ class Fabric:
         # ``done.value`` will be the flow: drop the cycle.
         flow.done = None
         self._event_flows.pop(done, None)
-        self.meter.record(flow.src, flow.dst, flow.total_bytes)
+        self.meter.record(flow.src, flow.dst, flow.total_bytes, flow.tag)
         if self._tracer is not None:
             # One cache lookup per flow: (src, dst, tag) resolves the
             # traffic class and both bound counter children at once.
@@ -749,9 +794,20 @@ class Fabric:
                 flow.rate_bps * 1e-6 / 8.0,
             )
         ]
+        if len(finished) == len(self._flows):
+            # Every active flow finished: reset membership wholesale
+            # rather than discarding each flow from its states. Only
+            # occupied states are in ``_resources``, so clearing theirs
+            # empties every member set, as the per-flow path would.
+            self._flows.clear()
+            for state in self._resources.values():
+                state.members.clear()
+            self._resources.clear()
+        else:
+            for flow in finished:
+                self._unregister_flow(flow)
         done = []
         for flow in finished:
-            self._unregister_flow(flow)
             flow.remaining_bytes = 0.0
             done.append(self._finish_flow(flow))
         self.env.succeed_all(done, finished)

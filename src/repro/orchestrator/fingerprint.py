@@ -51,7 +51,9 @@ __all__ = [
 #: part of every fingerprint, so a bump invalidates the whole cache.
 #: v2: control-plane policies joined the fingerprint (PR 5), so cached
 #: static results cannot shadow adaptive ones and vice versa.
-FINGERPRINT_VERSION = 2
+#: v3: ``averaging_bytes`` counts only averaging flows, and run payloads
+#: carry ``bytes_by_tag``.
+FINGERPRINT_VERSION = 3
 
 _KIND = "__kind__"
 _VALUE = "__value__"

@@ -287,6 +287,7 @@ def _run_to_payload(run) -> dict:
         "epochs": [asdict(epoch) for epoch in run.epochs],
         "egress_bytes_by_class": dict(run.egress_bytes_by_class),
         "egress_bytes_by_site": dict(run.egress_bytes_by_site),
+        "bytes_by_tag": dict(run.bytes_by_tag),
         "egress_bytes_by_pair": [
             [src, dst, nbytes]
             for (src, dst), nbytes in run.egress_bytes_by_pair.items()
@@ -344,6 +345,7 @@ def _run_from_payload(job: ExperimentJob, payload: dict):
         epochs=[EpochStats(**epoch) for epoch in payload["epochs"]],
         egress_bytes_by_class=dict(payload["egress_bytes_by_class"]),
         egress_bytes_by_site=dict(payload["egress_bytes_by_site"]),
+        bytes_by_tag=dict(payload["bytes_by_tag"]),
         egress_bytes_by_pair={
             (src, dst): nbytes
             for src, dst, nbytes in payload["egress_bytes_by_pair"]

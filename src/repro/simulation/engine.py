@@ -12,6 +12,9 @@ The kernel is intentionally minimal but complete enough for the study:
 * :class:`Process` — a generator that yields events and is resumed with
   their values; processes can be interrupted,
 * :class:`AllOf` / :class:`AnyOf` — condition events over multiple events.
+  A condition binds its observer once and appends that one object to
+  every sub-event, so waiting on a fan-out of n transfers allocates one
+  bound method rather than n.
 
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
@@ -295,28 +298,33 @@ class _Condition(Event):
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
+        self._events = events = list(events)
         if self._check_now():
             return
-        for event in self._events:
-            if event.processed:
-                self._observe(event)
+        # One bound method serves every sub-event: a fan-out of n
+        # transfers allocates one observer, not n.
+        observe = self._observe
+        for event in events:
+            if event.callbacks is None:
+                observe(event)
             else:
-                event.callbacks.append(self._observe)
+                event.callbacks.append(observe)
 
     def _check_now(self) -> bool:
-        """Trigger immediately when the condition already holds.
+        """Check that every sub-event belongs to this environment, and
+        trigger immediately when the condition already holds.
 
         Only *processed* events count: a Timeout has its value decided at
         construction but has not yet occurred in simulated time.
         """
+        env = self.env
+        count = 0
         for event in self._events:
-            if event.processed and event._ok:
-                self._count += 1
+            if event.env is not env:
+                raise SimulationError("events belong to different environments")
+            if event.callbacks is None and event._ok:
+                count += 1
+        self._count = count
         if self._satisfied():
             self._finish()
             return True
@@ -345,7 +353,7 @@ class _Condition(Event):
         return {
             index: event._value
             for index, event in enumerate(self._events)
-            if event.processed and event._ok
+            if event.callbacks is None and event._ok
         }
 
 

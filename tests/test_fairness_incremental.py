@@ -18,6 +18,7 @@ coalesced refill for the current timestamp has actually run.
 
 import copy
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -406,3 +407,135 @@ def test_targeted_invalidation_matches_fresh_resolution(ops):
         changed = set()
         if fabric._flows and at_complete_instant(env, fabric):
             assert_rates_match(env, fabric)
+
+
+# ---------------------------------------------------------------------------
+# wholesale completion: a completion that empties the fabric resets
+# membership in one step, and must leave what per-flow teardown leaves
+# ---------------------------------------------------------------------------
+
+def complete_flow_by_flow(fabric):
+    """``Fabric._complete_due_flows`` with per-flow teardown only: the
+    oracle for the wholesale reset."""
+    fabric._advance_clock()
+    finished = [
+        flow for flow in fabric._flows
+        if flow.remaining_bytes
+        <= max(_EPS * max(1.0, flow.total_bytes), flow.rate_bps * 1e-6 / 8.0)
+    ]
+    done = []
+    for flow in finished:
+        fabric._unregister_flow(flow)
+        flow.remaining_bytes = 0.0
+        done.append(fabric._finish_flow(flow))
+    fabric.env.succeed_all(done, finished)
+    fabric._mark_dirty()
+
+
+def membership(fabric):
+    """Active flows, occupied resources in order, every state's members
+    and every flow's rate, keyed by flow id."""
+    return (
+        sorted(flow.flow_id for flow in fabric._flows),
+        list(fabric._resources),
+        {rid: sorted(flow.flow_id for flow in state.members)
+         for rid, state in fabric._states.items()},
+        {flow.flow_id: flow.rate_bps for flow in fabric._flows},
+    )
+
+
+def channel_fabric(env):
+    fabric = Fabric(env, mesh_topology(n_sites=4))
+    fabric.define_channel("c", 300 * MBPS)
+    return fabric
+
+
+def start_fan_outs(env, fabric, fan_outs, finish_times):
+    """Schedule each fan-out (delay, src, [(dst, nbytes, channels)]) and
+    record the instant each flow completes, by flow id."""
+    def record(event):
+        finish_times[event.value.flow_id] = env.now
+
+    def fan_out(src, flows):
+        for dst, nbytes, channels in flows:
+            done = fabric.transfer(f"s{src}", f"s{dst}", nbytes,
+                                   channels=channels)
+            done.callbacks.append(record)
+
+    for delay, src, flows in fan_outs:
+        env.timeout(delay).callbacks.append(
+            lambda _event, args=(src, flows): fan_out(*args))
+
+
+def next_fan_out_rates(fabric):
+    """Rates of a three-flow fan-out started on ``fabric`` once its
+    admission and refill have run."""
+    env = fabric.env
+    for dst in (1, 2, 3):
+        fabric.transfer("s0", f"s{dst}", 1e9, channels=("c",))
+    env.run(until=env.peek())
+    return sorted(flow.rate_bps for flow in fabric._flows)
+
+
+flow_spec = st.tuples(
+    st.integers(1, 3), st.sampled_from([4e6, 4e6, 2e7, 6e7]),
+    st.sampled_from([(), ("c",)]),
+)
+fan_out_spec = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.3, 2.0]), st.integers(0, 3),
+    st.lists(flow_spec, min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fan_outs=st.lists(fan_out_spec, min_size=1, max_size=5))
+# Equal flows on one route finish together: every completion empties it.
+@example(fan_outs=[(0.0, 0, [(1, 4e6, ("c",))] * 4)])
+# A longer flow outlives the rest: a partial completion, then a whole one.
+@example(fan_outs=[(0.0, 0, [(1, 4e6, ()), (2, 4e6, ("c",)), (1, 6e7, ())])])
+def test_wholesale_completion_matches_per_flow_teardown(fan_outs):
+    env, reference_env = Environment(), Environment()
+    fabric, reference = channel_fabric(env), channel_fabric(reference_env)
+    reference._complete_due_flows = types.MethodType(
+        complete_flow_by_flow, reference)
+    finish_times: dict = {}
+    reference_times: dict = {}
+    start_fan_outs(env, fabric, fan_outs, finish_times)
+    start_fan_outs(reference_env, reference, fan_outs, reference_times)
+    while env.peek() != float("inf"):
+        assert reference_env.peek() == env.peek()
+        until = env.peek()
+        env.run(until=until)
+        reference_env.run(until=until)
+        assert membership(fabric) == membership(reference)
+        if fabric._flows and at_complete_instant(env, fabric):
+            assert_rates_match(env, fabric)
+    assert reference_env.peek() == float("inf")
+    assert finish_times == reference_times
+    assert len(finish_times) == sum(len(flows) for __, __, flows in fan_outs)
+    assert not fabric._resources
+    assert all(not state.members for state in fabric._states.values())
+    # No stale membership: the next fan-out fills as on a fresh fabric.
+    assert next_fan_out_rates(fabric) == next_fan_out_rates(
+        channel_fabric(Environment()))
+
+
+def test_completion_that_empties_the_fabric_skips_per_flow_teardown():
+    env = Environment()
+    fabric = channel_fabric(env)
+    teardowns = []
+    unregister = fabric._unregister_flow
+    fabric._unregister_flow = lambda flow: (teardowns.append(flow.flow_id),
+                                            unregister(flow))
+    short = [fabric.transfer("s0", "s1", 4e6, channels=("c",))
+             for _ in range(3)]
+    long = fabric.transfer("s0", "s2", 6e7)
+    env.run(short[0])
+    # A partial completion tears its flows down one by one...
+    assert sorted(teardowns) == [0, 1, 2]
+    assert all(event.triggered for event in short)
+    env.run(long)
+    # ...and the one that empties the fabric resets it in one step.
+    assert sorted(teardowns) == [0, 1, 2]
+    assert not fabric._flows and not fabric._resources
+    assert all(not state.members for state in fabric._states.values())

@@ -1,9 +1,15 @@
 """Integration tests for full simulated Hivemind training runs."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.cloud import InterruptionModel
+from repro.experiments.configs import build_run_config
+from repro.experiments.resilience import chaos_schedule_for
 from repro.hivemind import (
     HivemindRunConfig,
     NumericConfig,
@@ -151,6 +157,27 @@ class TestEgressAccounting:
         )
         assert "any-oce" in result.egress_bytes_by_class
         assert "between-continents" in result.egress_bytes_by_class
+
+    def test_averaging_bytes_count_only_averaging_flows(self):
+        result = run_hivemind(build_run_config("B-8", "conv", epochs=3))
+        assert result.bytes_by_tag == {"averaging": 16_615_200_000.0,
+                                       "dht": 49_152.0}
+        assert result.averaging_bytes == 16_615_200_000.0
+        # Billing still covers every byte the fabric metered.
+        assert sum(result.egress_bytes_by_pair.values()) == 16_615_249_152.0
+
+    def test_tags_add_up_to_the_metered_total_under_faults(self):
+        schedule = chaos_schedule_for("B-8", seed=1, intensity=4,
+                                      horizon_s=1800)
+        result = run_hivemind(build_run_config(
+            "B-8", "conv", epochs=8, fault_schedule=schedule))
+        assert result.transfers_aborted > 0 and result.state_syncs > 0
+        assert set(result.bytes_by_tag) == {"averaging", "dht", "sync"}
+        assert result.averaging_bytes == result.bytes_by_tag["averaging"]
+        # Same bytes, summed in a different order.
+        assert math.isclose(sum(result.bytes_by_tag.values()),
+                            sum(result.egress_bytes_by_pair.values()),
+                            rel_tol=1e-12)
 
     def test_egress_scales_with_model_size(self):
         """Figure 12: small models have lower egress rates."""
@@ -342,3 +369,29 @@ class TestDataBottleneck:
             )
         assert result.granularity == pytest.approx(plain.granularity)
         assert result.total_samples == pytest.approx(4 * 32768, rel=0.02)
+
+
+class TestRunTeardown:
+    def test_finished_run_frees_its_routes_without_the_collector(
+            self, monkeypatch):
+        from repro.network import Fabric
+
+        channel_states = []
+        close = Fabric.close
+
+        def close_and_watch(fabric):
+            channel_states.extend(
+                weakref.ref(state) for rid, state in fabric._states.items()
+                if rid.startswith("channel:avg-out:"))
+            close(fabric)
+
+        monkeypatch.setattr(Fabric, "close", close_and_watch)
+        config = make_config(counts={"gc:us": 2, "gc:eu": 2}, epochs=2)
+        gc.collect()
+        gc.disable()
+        try:
+            run_hivemind(config)
+            assert len(channel_states) == 4
+            assert all(ref() is None for ref in channel_states)
+        finally:
+            gc.enable()

@@ -539,3 +539,44 @@ def test_same_site_transfers_are_admitted_within_the_instant():
     # 40 Mbit each at half of 80 Mb/s.
     assert env.now == pytest.approx(1.0)
     assert fabric.meter.total_bytes == 10e6
+
+
+def test_meter_records_bytes_by_tag_including_aborted_ones():
+    topo = two_site_topology(nic_bps=1 * GBPS)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.transfer("a", "b", 1000.0, tag="averaging")
+    fabric.transfer("a", "c", 500.0)
+    slow = fabric.transfer("b", "c", 125e6, tag="sync")
+    env.run(until=0.5)
+    fabric.abort(slow)
+    env.run()
+    by_tag = fabric.meter.by_tag
+    assert by_tag["averaging"] == 1000.0
+    assert by_tag["data"] == 500.0
+    assert 0 < by_tag["sync"] < 125e6
+    assert sum(by_tag.values()) == fabric.meter.total_bytes
+    fabric.meter.reset()
+    assert not fabric.meter.by_tag
+
+
+def test_closed_fabric_drops_its_routes_and_refuses_transfers():
+    topo = two_site_topology()
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.define_channel("ch", 1 * GBPS)
+    fabric.transfer("a", "b", 1e6, channels=("ch",))
+    fabric.transfer("b", "c", 1e6)
+    env.run()
+    topo.set_path("a", "b", capacity_bps=0.5 * GBPS)
+    fabric.on_topology_change()
+    env.run()
+    assert fabric._rid_cache and fabric._pair_routes and fabric._states
+    fabric.close()
+    assert not fabric._rid_cache and not fabric._states
+    assert fabric._pair_routes is None
+    for src, dst, channels in (("a", "b", ("ch",)), ("b", "c", ()),
+                               ("c", "a", ())):
+        with pytest.raises(RuntimeError, match="closed fabric"):
+            fabric.transfer(src, dst, 1e3, channels=channels)
+    assert fabric.active_flows == 0 and not fabric._rid_cache

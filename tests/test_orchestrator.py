@@ -155,6 +155,8 @@ class TestRunCache:
                                  monitor_interval_s=None)
         assert result_to_record(job, warm) == result_to_record(job, cold)
         assert warm.run.fault_counts == cold.run.fault_counts
+        assert warm.run.bytes_by_tag == cold.run.bytes_by_tag
+        assert warm.run.averaging_bytes == cold.run.bytes_by_tag["averaging"]
 
     def test_entries_are_compact_and_indented_ones_still_hit(self, tmp_path):
         cache = RunCache(tmp_path / "cache")

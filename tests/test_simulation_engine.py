@@ -399,3 +399,69 @@ def test_run_until_member_finishes_the_batch():
     assert env.run(until=events[0]) == "a"
     assert all(event.processed for event in events)
     assert not later.processed
+
+
+@pytest.mark.parametrize("combine", ["all_of", "any_of"])
+def test_condition_shares_one_observer_across_sub_events(combine):
+    env = Environment()
+    events = [env.event() for _ in range(6)]
+    condition = getattr(env, combine)(events)
+    observers = [event.callbacks[-1] for event in events]
+    assert all(observer is observers[0] for observer in observers)
+    assert observers[0] == condition._observe
+
+
+def test_condition_observes_a_duplicated_sub_event_twice():
+    env = Environment()
+    event, other = env.event(), env.event()
+    both = env.all_of([event, event, other])
+    assert event.callbacks.count(both._observe) == 2
+    event.succeed("x")
+    env.run()
+    assert not both.triggered
+    other.succeed("y")
+    env.run()
+    assert both.value == {0: "x", 1: "x", 2: "y"}
+
+
+def test_condition_counts_already_processed_sub_events():
+    env = Environment()
+    done, pending = env.event(), env.event()
+    done.succeed("early")
+    env.run()
+    both = env.all_of([done, pending])
+    assert done.callbacks is None and len(pending.callbacks) == 1
+    pending.succeed("late")
+    env.run()
+    assert both.value == {0: "early", 1: "late"}
+    # Already satisfied at construction: fires without observing.
+    either = env.any_of([done, env.event()])
+    env.run()
+    assert either.value == {0: "early"}
+
+
+def test_condition_fails_on_the_first_failed_sub_event():
+    env = Environment()
+    first, second, third = env.event(), env.event(), env.event()
+    both = env.all_of([first, second, third])
+    second.fail(ValueError("first failure"))
+    with pytest.raises(ValueError, match="first failure"):
+        env.run(both)
+    assert second.defused
+    # A triggered condition leaves a later failure to its own waiters.
+    first.fail(KeyError("later failure"))
+    with pytest.raises(KeyError, match="later failure"):
+        env.run()
+    assert isinstance(both.value, ValueError)
+    # An already-processed failure fails a new condition at once.
+    after = env.any_of([second, env.event()])
+    assert after.triggered and not after.ok
+    assert isinstance(after.value, ValueError)
+
+
+def test_condition_rejects_events_of_another_environment():
+    env, other = Environment(), Environment()
+    mine = env.event()
+    with pytest.raises(SimulationError, match="different environments"):
+        env.all_of([mine, other.event()])
+    assert mine.callbacks == []
