@@ -8,6 +8,13 @@ TTL-expiring values. Every RPC is a round trip through the
 :class:`~repro.network.fabric.Fabric`, so DHT operations cost genuine
 simulated latency (which is what makes geo-distributed matchmaking
 slower than zone-local matchmaking).
+
+Contacts are interned: each :class:`DhtNode` builds its contact record
+once, and routing tables and RPC responses only pass those objects
+around (a rejoin keeps the node's record). Contacts therefore compare
+and hash by identity, which gives the same answers as comparing their
+fields without a generated ``__eq__`` call per bucket or shortlist
+check.
 """
 
 from __future__ import annotations
@@ -39,8 +46,11 @@ def xor_distance(a: int, b: int) -> int:
     return a ^ b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Contact:
+    """A node's address record, built once per node
+    (:attr:`DhtNode.contact`); compares by identity."""
+
     node_id: int
     site: str
 
@@ -56,7 +66,7 @@ class RoutingTable:
     def add(self, contact: _Contact) -> None:
         if contact.node_id == self.owner_id:
             return
-        index = xor_distance(self.owner_id, contact.node_id).bit_length()
+        index = (self.owner_id ^ contact.node_id).bit_length()
         bucket = self._buckets.setdefault(index, [])
         if contact in bucket:
             bucket.remove(contact)
@@ -70,7 +80,7 @@ class RoutingTable:
 
     def closest(self, target: int, count: int) -> list[_Contact]:
         contacts = [c for bucket in self._buckets.values() for c in bucket]
-        contacts.sort(key=lambda c: xor_distance(c.node_id, target))
+        contacts.sort(key=lambda c: c.node_id ^ target)
         return contacts[:count]
 
     def __len__(self) -> int:
@@ -214,9 +224,9 @@ class DhtNode:
         self.site = site
         self.name = name or site
         self.node_id = node_id_for(self.name)
-        #: This node's interned contact record — always value-equal to a
-        #: freshly built one, so sharing it is free (and the identity
-        #: fast path speeds up bucket membership checks).
+        #: This node's contact record, the only one built for it: routing
+        #: tables and RPC responses hold this object, so membership
+        #: checks compare by identity. A rejoin keeps it.
         self.contact = _Contact(self.node_id, site)
         self._handler_cache: dict[str, Any] = {}
         self.routing = RoutingTable(self.node_id, k=k)
@@ -320,7 +330,7 @@ class DhtNode:
                     self.routing.add(new_contact)
                     if new_contact.node_id not in queried:
                         shortlist.append(new_contact)
-            shortlist.sort(key=lambda c: xor_distance(c.node_id, key_id))
+            shortlist.sort(key=lambda c: c.node_id ^ key_id)
             shortlist = shortlist[: self.k]
 
     def _iterative_find(self, target: int):
@@ -343,6 +353,6 @@ class DhtNode:
                     if new_contact not in shortlist:
                         shortlist.append(new_contact)
                         improved = True
-            shortlist.sort(key=lambda c: xor_distance(c.node_id, target))
+            shortlist.sort(key=lambda c: c.node_id ^ target)
             shortlist = shortlist[: self.k]
         return shortlist

@@ -39,6 +39,18 @@ pair's path depends only on its own override or default, sites are
 frozen, and :meth:`Fabric.define_channel` updates channel states in
 place.
 
+A transfer is one object. :class:`Flow` is an :class:`Event` subclass
+and :meth:`Fabric.transfer` returns the flow itself: it succeeds when
+the last byte arrives, and its ``value`` is then the flow (computed,
+not stored, so a finished flow holds no reference to itself).
+:meth:`Fabric.abort` takes that flow; it refuses (returns ``False``) a
+flow that already finished or was already aborted, a flow of another
+fabric and any event that is not a flow. The fabric's timers (flow
+admission, completion, the coalesced refill) are bare kernel entries
+(:meth:`Environment.call_later`, :meth:`Environment.defer`): no event
+and no callbacks list, but the same queue slot a one-callback timer
+would take.
+
 A fan-out costs O(1) kernel queue entries rather than two per flow.
 Both rules rely on the kernel ordering its queue by ``(time, sequence)``
 alone, so every flow is still admitted, filled, metered and completed
@@ -53,11 +65,10 @@ in the same order and at the same float times as with one entry each:
   admitted at the end of the instant by the same code, as a batch of
   one.
 * **Completion.** The flows found finished at one instant are metered
-  one by one, then their completion events are triggered through
-  :meth:`Environment.succeed_all`, one queue entry whose callbacks run
-  in the same order. A finished flow drops its completion event, so a
-  finished stage is freed by reference counting rather than waiting
-  for the cyclic collector.
+  one by one, then triggered through :meth:`Environment.succeed_all`,
+  one queue entry whose callbacks run in the same order. Nothing the
+  fabric keeps refers to a finished flow, so a finished stage is freed
+  by reference counting rather than waiting for the cyclic collector.
 
 When the flows found finished are the whole active set (the end of
 every averaging stage), membership is reset wholesale: the active set,
@@ -81,12 +92,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from functools import partial
+from typing import Any, Optional
 
 import numpy as np
-from dataclasses import dataclass, field
-from typing import Optional
 
 from ..simulation import Environment, Event
+from ..simulation.engine import _PENDING
 from ..telemetry import NULL_TELEMETRY
 from .tcp import effective_ceiling_bps
 from .topology import Site, Topology, classify_traffic
@@ -97,9 +109,9 @@ _EPS = 1e-9
 
 
 class TransferAborted(Exception):
-    """Raised into waiters of a transfer's completion event when the
+    """Raised into waiters of a transfer (its :class:`Flow`) when the
     transfer is cancelled via :meth:`Fabric.abort` (round timeout, peer
-    loss). The event is pre-defused, so only processes actively waiting
+    loss). The flow is pre-defused, so only processes actively waiting
     on it observe the exception."""
 
     def __init__(self, flow: "Flow", reason: str = "aborted"):
@@ -109,34 +121,99 @@ class TransferAborted(Exception):
         self.reason = reason
 
 
-@dataclass(eq=False, slots=True)
-class Flow:
-    """One in-flight transfer (hashable by identity)."""
+class Flow(Event):
+    """One transfer, and the event that fires when it completes.
 
+    :meth:`Fabric.transfer` returns the flow itself: it succeeds once
+    the last byte has arrived, and its :attr:`value` is then the flow.
+    The value is computed rather than stored, so a finished flow holds
+    no reference to itself and is freed by reference counting. Hashable
+    by identity.
+    """
+
+    __slots__ = (
+        "fabric",
+        "flow_id",
+        "src",
+        "dst",
+        "total_bytes",
+        "remaining_bytes",
+        "ceiling_bps",
+        "tag",
+        "started_s",
+        "states",
+        "rate_bps",
+        "span",
+        "aborted",
+        "_fill_headroom",
+        "_fill_active",
+    )
+
+    #: The fabric that carries the flow; :meth:`Fabric.abort` checks it.
+    fabric: Fabric
     flow_id: int
     src: Site
     dst: Site
     total_bytes: float
     remaining_bytes: float
     ceiling_bps: float
-    #: Completion event; cleared when the flow finishes, which breaks
-    #: the ``flow.done`` <-> ``done.value`` reference cycle.
-    done: Optional[Event]
-    tag: Optional[str] = None
+    tag: Optional[str]
     #: Sim time the transfer was requested (for telemetry durations).
-    started_s: float = 0.0
+    started_s: float
     #: The fabric's persistent state of every shared resource this flow
     #: occupies, taken from its route (one tuple per (src, dst, channels)).
-    states: tuple[_ResourceState, ...] = ()
-    rate_bps: float = 0.0
+    states: tuple[_ResourceState, ...]
+    rate_bps: float
     #: Open telemetry span, when tracing is enabled.
-    span: Optional[object] = None
+    span: Optional[object]
     #: Set by :meth:`Fabric.abort`; admission checks it so a flow
     #: cancelled mid-propagation never starts.
-    aborted: bool = False
+    aborted: bool
     # Working state of the progressive-filling pass (_assign_rates).
-    _fill_headroom: float = field(default=0.0, init=False, repr=False)
-    _fill_active: bool = field(default=False, init=False, repr=False)
+    _fill_headroom: float
+    _fill_active: bool
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        flow_id: int,
+        src: Site,
+        dst: Site,
+        total_bytes: float,
+        ceiling_bps: float,
+        tag: Optional[str],
+        started_s: float,
+        states: tuple[_ResourceState, ...],
+    ):
+        # Event.__init__, inlined: one call fewer per transfer.
+        self.env = fabric.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
+        self.fabric = fabric
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.total_bytes = total_bytes
+        self.remaining_bytes = total_bytes
+        self.ceiling_bps = ceiling_bps
+        self.tag = tag
+        self.started_s = started_s
+        self.states = states
+        self.rate_bps = 0.0
+        self.span = None
+        self.aborted = False
+        self._fill_headroom = 0.0
+        self._fill_active = False
+
+    @property
+    def value(self) -> Any:
+        """The flow once it has completed; the
+        :class:`TransferAborted` error once it has been aborted."""
+        if self._ok:
+            return self
+        return super().value
 
     @property
     def resources(self) -> tuple[str, ...]:
@@ -298,9 +375,6 @@ class Fabric:
         self._admission: Optional[tuple[float, int, list[Flow]]] = None
         #: High-water mark of concurrent flows (reported by `repro bench`).
         self.peak_active_flows = 0
-        #: Completion event -> flow, so :meth:`abort` can cancel a
-        #: transfer given only the event :meth:`transfer` returned.
-        self._event_flows: dict[Event, Flow] = {}
         #: Transfers cancelled via :meth:`abort` (reported by chaos runs).
         self.aborted_flows = 0
         self._aborts_counter = self.telemetry.counter(
@@ -341,11 +415,12 @@ class Fabric:
         stream_cap_bps: Optional[float] = None,
         tag: Optional[str] = None,
         channels: tuple[str, ...] = (),
-    ) -> Event:
+    ) -> Flow:
         """Start a transfer of ``nbytes`` from ``src`` to ``dst``.
 
-        Returns an event that fires (with the flow) once the last byte
-        has arrived, after one-way propagation plus transmission time.
+        Returns the :class:`Flow`, an event that fires (with the flow as
+        its value) once the last byte has arrived, after one-way
+        propagation plus transmission time.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
@@ -368,13 +443,11 @@ class Fabric:
                 self._rng = np.random.default_rng(0)
             ceiling *= float(np.exp(self._rng.normal(0.0, self.jitter)))
         env = self.env
-        done = Event(env)
         total = float(nbytes)
         flow = Flow(
-            next(self._flow_ids), src_site, dst_site, total, total, ceiling,
-            done, tag, env._now, states,
+            self, next(self._flow_ids), src_site, dst_site, total, ceiling,
+            tag, env._now, states,
         )
-        self._event_flows[done] = flow
         if self._tracer is not None and nbytes >= self.trace_min_bytes:
             track = self._track_names.get(src_site.name)
             if track is None:
@@ -401,14 +474,11 @@ class Fabric:
                 admission[2].append(flow)
             else:
                 flows = [flow]
-                timer = env.timeout(propagation)
-                timer.callbacks.append(
-                    lambda _event, _flows=flows: self._admit_batch(_flows)
-                )
+                env.call_later(propagation, partial(self._admit_batch, flows))
                 self._admission = (due, env._sequence, flows)
         else:
-            env.defer(lambda _flows=[flow]: self._admit_batch(_flows))
-        return done
+            env.defer(partial(self._admit_batch, [flow]))
+        return flow
 
     def _resolve_transfer(
         self, src: str, dst: str, channels: tuple[str, ...]
@@ -484,19 +554,21 @@ class Fabric:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def abort(self, done: Event, reason: str = "aborted") -> bool:
-        """Cancel an in-flight transfer by its completion event.
+    def abort(self, flow: Event, reason: str = "aborted") -> bool:
+        """Cancel an in-flight transfer, given the flow :meth:`transfer`
+        returned.
 
         Bytes already delivered are metered (they were really sent);
-        the completion event fails with :class:`TransferAborted` but is
+        the flow fails with :class:`TransferAborted` but is
         *pre-defused*, so it is only observed by processes actively
         waiting on it — crucially including an already-triggered
         ``AllOf``/``AnyOf``, whose ``_observe`` no longer defuses late
-        sub-events. Returns ``False`` if the transfer already finished
-        (or was already aborted).
+        sub-events. A flow still propagating never starts. Returns
+        ``False``, changing nothing, for a flow that already finished or
+        was already aborted, for a flow of another fabric and for any
+        event that is not a flow.
         """
-        flow = self._event_flows.pop(done, None)
-        if flow is None or done.triggered:
+        if not isinstance(flow, Flow) or flow.fabric is not self or flow.triggered:
             return False
         self._advance_clock()
         flow.aborted = True
@@ -514,8 +586,8 @@ class Fabric:
         if tel is not None:
             # Close out the flow's logical process.
             tel.processes_finished += 1
-        done.fail(TransferAborted(flow, reason))
-        done.defused = True
+        flow.fail(TransferAborted(flow, reason))
+        flow.defused = True
         return True
 
     def on_topology_change(self) -> None:
@@ -531,14 +603,8 @@ class Fabric:
 
     # -- flow lifecycle ---------------------------------------------------
 
-    def _finish_flow(self, flow: Flow) -> Event:
-        """Meter a delivered flow and detach its completion event, which
-        the caller triggers with the flow."""
-        done = flow.done
-        assert done is not None
-        # ``done.value`` will be the flow: drop the cycle.
-        flow.done = None
-        self._event_flows.pop(done, None)
+    def _finish_flow(self, flow: Flow) -> None:
+        """Meter a delivered flow; the caller then triggers it."""
         self.meter.record(flow.src, flow.dst, flow.total_bytes, flow.tag)
         if self._tracer is not None:
             # One cache lookup per flow: (src, dst, tag) resolves the
@@ -568,7 +634,6 @@ class Fabric:
         if tel is not None:
             # Close out the flow's logical process.
             tel.processes_finished += 1
-        return done
 
     def _admit_batch(self, flows: list[Flow]) -> None:
         """Admit flows whose propagation delay has elapsed (one timer's
@@ -584,7 +649,8 @@ class Fabric:
             if flow.aborted:
                 continue
             if flow.remaining_bytes <= 0:
-                self._finish_flow(flow).succeed(flow)
+                self._finish_flow(flow)
+                flow.succeed()
                 continue
             if not dirty:
                 dirty = True
@@ -773,13 +839,11 @@ class Fabric:
         horizon = max(horizon, max(abs(self.env.now), 1.0) * 1e-12, 1e-9)
         generation = self._generation
 
-        def on_timer(event: Event) -> None:
-            if generation != self._generation:
-                return
-            self._complete_due_flows()
+        def on_timer() -> None:
+            if generation == self._generation:
+                self._complete_due_flows()
 
-        timer = self.env.timeout(max(horizon, 0.0))
-        timer.callbacks.append(on_timer)
+        self.env.call_later(max(horizon, 0.0), on_timer)
 
     def _complete_due_flows(self) -> None:
         self._advance_clock()
@@ -806,9 +870,8 @@ class Fabric:
         else:
             for flow in finished:
                 self._unregister_flow(flow)
-        done = []
         for flow in finished:
             flow.remaining_bytes = 0.0
-            done.append(self._finish_flow(flow))
-        self.env.succeed_all(done, finished)
+            self._finish_flow(flow)
+        self.env.succeed_all(finished)
         self._mark_dirty()

@@ -16,6 +16,16 @@ The kernel is intentionally minimal but complete enough for the study:
   every sub-event, so waiting on a fan-out of n transfers allocates one
   bound method rather than n.
 
+Every event class declares ``__slots__``, so an event carries no
+instance ``__dict__``; a subclass (the fabric's flow is one) adds its
+own slots. A timer that nothing waits on needs no event at all:
+:meth:`Environment.defer` and :meth:`Environment.call_later` queue a
+*bare entry*, a slotted object that holds one no-argument callable and
+takes one ``(time, sequence)`` slot like any event. Its class-level
+``_ok`` marks it as succeeded, so the run loops treat it like an event.
+:attr:`Environment.events_scheduled` counts every queue entry, bare
+entries included.
+
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
 The queue orders entries by ``(time, sequence)`` alone, so a run of
@@ -24,7 +34,7 @@ queue entry without changing what runs when:
 :meth:`Environment.succeed_all` triggers a list of events through a
 single entry that runs their callbacks in list order (the fabric
 completes a fan-out's finished flows this way), and a subsystem may
-attach several callbacks to one timer when nothing else was queued
+let one timer do the work of several when nothing else was queued
 between them (the fabric's batched flow admission).
 
 An :class:`Environment` optionally carries a telemetry sink (any object
@@ -34,10 +44,11 @@ implementing the hook protocol of
 process lifecycle transitions when the sink's ``capture_processes``
 flag is set; otherwise the kernel updates the sink's plain integer
 tallies (``processes_spawned`` / ``processes_finished`` /
-``processes_failed``, and per event ``events_scheduled`` /
-``queue_depth_high_water``) in place — a method call per event or
-process would dominate the tracing overhead. With no sink attached
-every hook site is a single ``is None`` check.
+``processes_failed``, and per event ``queue_depth_high_water``) in
+place — a method call per event or process would dominate the tracing
+overhead. The sink reads its scheduled-event count from
+:attr:`Environment.events_scheduled`. With no sink attached every hook
+site is a single ``is None`` check.
 """
 
 from __future__ import annotations
@@ -84,6 +95,8 @@ class Event:
     (callbacks ran). Waiting processes register callbacks; when the event
     fires, each callback receives the event.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -144,6 +157,8 @@ class Event:
 class Timeout(Event):
     """An event that fires after ``delay`` simulated seconds."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
@@ -161,6 +176,8 @@ class _Batch(Event):
     consecutive queue entries at this instant would have.
     """
 
+    __slots__ = ("_events",)
+
     def __init__(self, env: "Environment", events: list[Event]):
         super().__init__(env)
         self._ok = True
@@ -169,13 +186,37 @@ class _Batch(Event):
         env._queue_event(self)
 
     def _run_callbacks(self) -> None:
+        # Each member's ``Event._run_callbacks``, inlined: a fan-out's
+        # batch runs one iteration per flow.
         self.callbacks = None
         for event in self._events:
-            event._run_callbacks()
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+
+
+class _Call:
+    """A bare queue entry: calls ``fn()`` when it fires.
+
+    It takes one ``(time, sequence)`` slot like any event but is nothing
+    to wait on: no value, no callbacks list. Its class-level ``_ok`` lets
+    the run loops treat it as a succeeded event.
+    """
+
+    __slots__ = ("_fn",)
+    _ok = True
+
+    def __init__(self, fn: Callable[[], None]):
+        self._fn = fn
+
+    def _run_callbacks(self) -> None:
+        self._fn()
 
 
 class _Initialize(Event):
     """Kick-starts a process at the current simulation time."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
@@ -192,6 +233,8 @@ class Process(Event):
     event succeeds, the generator is resumed with the event's value; when
     it fails, the exception is thrown into the generator.
     """
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
@@ -241,7 +284,7 @@ class Process(Event):
         self._target = None
         try:
             if event._ok:
-                next_event = self._generator.send(event._value)
+                next_event = self._generator.send(event.value)
             else:
                 event.defused = True
                 next_event = self._generator.throw(event._value)
@@ -281,7 +324,7 @@ class Process(Event):
             # Already fired and processed: resume immediately via a proxy.
             proxy = Event(self.env)
             proxy._ok = next_event._ok
-            proxy._value = next_event._value
+            proxy._value = next_event.value
             if not next_event._ok:
                 next_event.defused = True
                 proxy.defused = True
@@ -295,6 +338,8 @@ class Process(Event):
 
 class _Condition(Event):
     """Base for events combining several sub-events."""
+
+    __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -351,7 +396,7 @@ class _Condition(Event):
 
     def _collect(self) -> dict:
         return {
-            index: event._value
+            index: event.value
             for index, event in enumerate(self._events)
             if event.callbacks is None and event._ok
         }
@@ -360,12 +405,16 @@ class _Condition(Event):
 class AllOf(_Condition):
     """Fires when every sub-event has fired; value maps index → value."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._count >= len(self._events)
 
 
 class AnyOf(_Condition):
     """Fires when at least one sub-event has fired."""
+
+    __slots__ = ()
 
     def _satisfied(self) -> bool:
         return self._count >= 1 or not self._events
@@ -376,7 +425,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, telemetry=None):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Event | _Call]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
         #: Optional telemetry sink (duck-typed; see module docstring).
@@ -396,6 +445,12 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
+    @property
+    def events_scheduled(self) -> int:
+        """Queue entries pushed so far: every event and bare timer
+        scheduled, counting a :meth:`succeed_all` batch once."""
+        return self._sequence
+
     # -- event factories -------------------------------------------------
 
     def event(self) -> Event:
@@ -412,18 +467,29 @@ class Environment:
         otherwise reschedule work on every state change within one
         instant (e.g. the fabric recomputing fair shares as each flow
         of a fan-out arrives) can instead mark itself dirty and defer a
-        single recomputation to the end of the instant. Cheaper than a
-        zero-delay :class:`Timeout` — no delay validation, no value.
+        single recomputation to the end of the instant. The entry is a
+        bare queue entry, not an event: nothing can wait on it.
         """
-        event = Event(self)
-        event._ok = True
-        event._value = None
-        event.callbacks.append(lambda _event: fn())
-        self._queue_event(event)
+        self._queue_event(_Call(fn))
 
-    def succeed_all(self, events: list[Event], values: list[Any]) -> None:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Call ``fn`` after ``delay`` simulated seconds.
+
+        Takes the queue slot a ``timeout(delay)`` with ``fn`` as its one
+        callback would take, but allocates no event and no callbacks
+        list, and nothing can wait on it. Raises
+        :class:`SimulationError` when ``delay`` is negative or NaN.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        self._queue_event(_Call(fn), delay)
+
+    def succeed_all(
+        self, events: list[Event], values: Optional[list[Any]] = None
+    ) -> None:
         """Trigger each of ``events`` successfully with the matching
-        entry of ``values``, through one queue entry.
+        entry of ``values`` (``None`` for each when omitted), through
+        one queue entry.
 
         Equivalent to ``event.succeed(value)`` for each pair in order:
         the per-event entries would have had consecutive sequence
@@ -440,9 +506,14 @@ class Environment:
         for event in events:
             if event._value is not _PENDING:
                 raise SimulationError("event already triggered")
-        for event, value in zip(events, values, strict=True):
-            event._ok = True
-            event._value = value
+        if values is None:
+            for event in events:
+                event._ok = True
+                event._value = None
+        else:
+            for event, value in zip(events, values, strict=True):
+                event._ok = True
+                event._value = value
         if events:
             _Batch(self, events)
 
@@ -457,13 +528,13 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
 
-    def _queue_event(self, event: Event, delay: float = 0.0) -> None:
+    def _queue_event(self, event: Event | _Call, delay: float = 0.0) -> None:
         heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
         self._sequence += 1
         # Hottest path in the kernel: only the queue-depth high-water
         # mark is tracked here (as a plain-int attribute update, not a
-        # method call); the scheduled-event count is recovered from
-        # ``_sequence`` by the sink, so it costs nothing extra.
+        # method call); the scheduled-event count is ``_sequence``
+        # (:attr:`events_scheduled`), so it costs nothing extra.
         tel = self._telemetry
         if tel is not None:
             depth = len(self._queue)
@@ -515,7 +586,7 @@ class Environment:
             if not stop_on._ok:
                 stop_on.defused = True
                 raise stop_on._value
-            return stop_on._value
+            return stop_on.value
         if until is None:
             while queue:
                 when, __, event = pop(queue)

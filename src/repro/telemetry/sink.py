@@ -50,9 +50,10 @@ class Telemetry:
         self.capture_processes = capture_processes
         # Kernel tallies kept as plain ints on the hot path; folded into
         # the registry by :meth:`sync_kernel_metrics`. The scheduled-
-        # event count is read from each bound environment's ``_sequence``
-        # counter (the kernel already numbers every event), so only the
-        # queue-depth high-water mark costs anything per event.
+        # event count is read from each bound environment's
+        # ``events_scheduled`` (the kernel already numbers every queue
+        # entry), so only the queue-depth high-water mark costs anything
+        # per event.
         self._events_before = 0
         self._env = None
         self.queue_depth_high_water = 0
@@ -100,7 +101,7 @@ class Telemetry:
         else:
             self.tracer.bind_clock(lambda: env.now)
         if self._env is not None:
-            self._events_before += getattr(self._env, "_sequence", 0)
+            self._events_before += getattr(self._env, "events_scheduled", 0)
         self._env = env
         self._open_process_spans.clear()
 
@@ -108,7 +109,7 @@ class Telemetry:
     def events_scheduled(self) -> int:
         """Events pushed onto the queues of every bound environment."""
         env = self._env
-        extra = getattr(env, "_sequence", 0) if env is not None else 0
+        extra = getattr(env, "events_scheduled", 0) if env is not None else 0
         return self._events_before + extra
 
     def on_event_scheduled(self, queue_depth: int) -> None:
@@ -116,7 +117,7 @@ class Telemetry:
 
         The :class:`~repro.simulation.Environment` updates
         :attr:`queue_depth_high_water` directly and lets
-        :attr:`events_scheduled` fall out of its event sequence counter
+        :attr:`events_scheduled` fall out of its own count of queue entries
         (one method call per scheduled event is the single biggest
         tracing cost); this method exists for alternative kernels that
         prefer the call-based protocol.

@@ -423,12 +423,11 @@ def complete_flow_by_flow(fabric):
         if flow.remaining_bytes
         <= max(_EPS * max(1.0, flow.total_bytes), flow.rate_bps * 1e-6 / 8.0)
     ]
-    done = []
     for flow in finished:
         fabric._unregister_flow(flow)
         flow.remaining_bytes = 0.0
-        done.append(fabric._finish_flow(flow))
-    fabric.env.succeed_all(done, finished)
+        fabric._finish_flow(flow)
+    fabric.env.succeed_all(finished)
     fabric._mark_dirty()
 
 

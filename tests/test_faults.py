@@ -260,7 +260,7 @@ class TestFabricAbort:
 
         def killer():
             yield env.timeout(2.0)
-            done = next(iter(fabric._event_flows))
+            done = next(iter(fabric._flows))
             assert fabric.abort(done, reason="test-abort")
 
         env.process(proc())

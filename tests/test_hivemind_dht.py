@@ -174,6 +174,36 @@ class TestRoutingTable:
         nodes[0].routing.add(_Contact(nodes[0].node_id, nodes[0].site))
         assert len(nodes[0].routing) == before
 
+    def test_routing_tables_hold_only_interned_contacts(self):
+        # Contacts compare by identity, which equals value equality
+        # only while each node's one contact is the object passed on.
+        env, __, nodes = make_network({"gc:us": 6, "gc:eu": 6})
+        join_all(env, nodes)
+        leaver = nodes[5]
+        contact = leaver.contact
+        leaver.leave()
+
+        def churn():
+            yield from nodes[1].store("key", "value")
+            yield from leaver.rejoin(nodes[0])
+            return (yield from nodes[7].get("key"))
+
+        assert env.run(env.process(churn())) == "value"
+        assert leaver.contact is contact
+        by_id = {node.node_id: node.contact for node in nodes}
+        seen = 0
+        for node in nodes:
+            buckets = node.routing._buckets.values()
+            for held in (c for bucket in buckets for c in bucket):
+                assert held is by_id[held.node_id]
+                seen += 1
+            closest = node.routing.closest(node_id_for("key"), node.k)
+            assert all(c is by_id[c.node_id] for c in closest)
+        assert any(leaver.contact in bucket
+                   for node in nodes if node is not leaver
+                   for bucket in node.routing._buckets.values())
+        assert seen >= len(nodes)
+
 
 class TestRetryBudget:
     def rpc_to_dead_node(self, fault_tolerance=None):

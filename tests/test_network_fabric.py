@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.network import Fabric, Flow, GBPS, Site, Topology, TransferAborted
-from repro.simulation import Environment
+from repro.simulation import Environment, Event, SimulationError
 from repro.telemetry import Telemetry
 
 
@@ -227,7 +227,7 @@ def test_set_path_drops_only_the_changed_pair():
     kept = {key: fabric._rid_cache[key] for key in (("a", "c", ()), ("c", "b", ()))}
     path_state = fabric._states["path:a|b"]
     topo.set_path("b", "a", capacity_bps=0.1 * GBPS, rtt_s=0.4)
-    flow = fabric._event_flows[fabric.transfer("b", "a", 1e6)]
+    flow = fabric.transfer("b", "a", 1e6)
     assert path_state.capacity == 0.1 * GBPS
     assert flow.states[2] is path_state
     assert fabric._rid_cache[("b", "a", ())][3] == 0.2
@@ -389,7 +389,7 @@ def test_finished_flows_are_freed_without_the_cycle_collector():
         assert live == []
         second = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
         env.run(env.all_of(second))
-        assert [flow.done for flow in (ev.value for ev in second)] == [None] * 8
+        assert all(flow.value is flow for flow in second)
         del second
         live = [obj for obj in gc.get_objects() if isinstance(obj, Flow)]
         assert live == []
@@ -410,7 +410,6 @@ def test_resource_states_persist_across_stages():
     # egress:hub, then ingress and path per leaf.
     assert len(states) == 1 + 2 * 8
     second = [fabric.transfer("hub", f"leaf{i}", 5e6) for i in range(8)]
-    flows = [fabric._event_flows[done] for done in second]
     env.run(until=env.now + 0.015)
     assert len(fabric._resources) == len(states)
     for rid, state in fabric._resources.items():
@@ -419,7 +418,7 @@ def test_resource_states_persist_across_stages():
     assert fabric._resources == {}
     assert fabric._states.keys() == states.keys()
     assert all(fabric._states[rid] is state for rid, state in states.items())
-    for flow in flows:
+    for flow in second:
         assert all(state is states[state.rid] for state in flow.states)
 
 
@@ -439,11 +438,11 @@ def test_flow_resolved_before_topology_change_shares_the_new_state():
 
     env.timeout(0.05).callbacks.append(throttle)
     env.run(until=0.12)
-    first = fabric._event_flows[early]
+    first = early
     # Admitted alone after the change: held to the new path capacity.
     assert first.rate_bps == 0.1 * GBPS
     env.run(until=0.2)
-    second = fabric._event_flows[late[0]]
+    second = late[0]
     assert second.states is not first.states
     assert all(a is b for a, b in zip(first.states, second.states))
     assert len(fabric._states) == 3
@@ -490,10 +489,8 @@ def test_transfer_builds_the_requested_flow():
     topo = two_site_topology(nic_bps=1 * GBPS, rtt=0.2)
     fabric = Fabric(env, topo, stream_cap_bps=30e6)
     env.run(until=0.5)
-    plain = fabric._event_flows[fabric.transfer("a", "b", 7e6, tag="grad")]
-    wide = fabric._event_flows[
-        fabric.transfer("b", "a", 9e6, streams=3, stream_cap_bps=20e6)
-    ]
+    plain = fabric.transfer("a", "b", 7e6, tag="grad")
+    wide = fabric.transfer("b", "a", 9e6, streams=3, stream_cap_bps=20e6)
     assert plain.flow_id == 0 and wide.flow_id == 1
     assert (plain.src.name, plain.dst.name) == ("a", "b")
     assert (wide.src.name, wide.dst.name) == ("b", "a")
@@ -507,18 +504,18 @@ def test_transfer_builds_the_requested_flow():
     assert wide.resources == ("egress:b", "ingress:a", "path:a|b")
     assert plain.states[2] is wide.states[2] is fabric._states["path:a|b"]
     assert plain.rate_bps == 0.0 and plain.span is None and not plain.aborted
-    assert fabric._event_flows[plain.done] is plain
+    assert plain.fabric is fabric and not plain.triggered
 
 
 def test_setting_stream_cap_applies_to_resolved_routes():
     env = Environment()
     topo = two_site_topology(nic_bps=1 * GBPS)
     fabric = Fabric(env, topo, stream_cap_bps=10e6)
-    first = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    first = fabric.transfer("a", "b", 1e6)
     fabric.stream_cap_bps = 20e6
-    second = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    second = fabric.transfer("a", "b", 1e6)
     fabric.stream_cap_bps = None
-    third = fabric._event_flows[fabric.transfer("a", "b", 1e6)]
+    third = fabric.transfer("a", "b", 1e6)
     assert first.ceiling_bps == 10e6
     assert second.ceiling_bps == 20e6
     assert third.ceiling_bps == topo.single_stream_bps("a", "b")
@@ -580,3 +577,86 @@ def test_closed_fabric_drops_its_routes_and_refuses_transfers():
         with pytest.raises(RuntimeError, match="closed fabric"):
             fabric.transfer(src, dst, 1e3, channels=channels)
     assert fabric.active_flows == 0 and not fabric._rid_cache
+
+
+# -- the flow is its own completion event ---------------------------------
+
+
+def test_transfer_returns_the_flow_as_its_completion_event():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    flow = fabric.transfer("a", "b", 1e6)
+    empty = fabric.transfer("a", "b", 0.0)
+    assert isinstance(flow, Flow) and isinstance(flow, Event)
+    # One batched admission timer, a bare queue entry.
+    assert env.events_scheduled == 1
+    assert not any(isinstance(entry, Event) for __, __, entry in env._queue)
+    assert not hasattr(flow, "__dict__")
+    assert not flow.triggered
+    with pytest.raises(SimulationError):
+        flow.value
+
+    def waiter():
+        return (yield flow)
+
+    assert env.run(env.process(waiter())) is flow
+    assert flow.ok and flow.value is flow and flow.processed
+    assert env.run(empty) is empty and empty.value is empty
+    # The value is computed, not stored: no reference to itself.
+    assert flow._value is None and empty._value is None
+    assert flow not in gc.get_referents(flow)
+
+
+def test_abort_refuses_what_it_cannot_cancel():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    other = Fabric(env, two_site_topology(rtt=0.2))
+    finished = fabric.transfer("a", "b", 1e3)
+    env.run(finished)
+    aborted = fabric.transfer("a", "b", 1e9)
+    foreign = other.transfer("a", "b", 1e9)
+    env.run(until=env.now + 0.5)
+    assert fabric.abort(aborted)
+    meter = dict(fabric.meter.by_pair)
+    cases = {
+        "finished": finished,
+        "already aborted": aborted,
+        "not a flow": env.timeout(1.0),
+        "plain event": env.event(),
+        "another fabric's flow": foreign,
+    }
+    for name, event in cases.items():
+        assert fabric.abort(event) is False, name
+    assert fabric.aborted_flows == 1 and other.aborted_flows == 0
+    assert dict(fabric.meter.by_pair) == meter
+    assert foreign in other._flows and not foreign.triggered
+    assert isinstance(aborted.value, TransferAborted)
+    assert aborted.value.flow is aborted
+
+
+def test_flow_aborted_while_propagating_never_starts():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    flow = fabric.transfer("a", "b", 1e6)
+    sibling = fabric.transfer("a", "b", 1e6)
+    env.run(until=0.05)
+    assert fabric.abort(flow, reason="gone")
+    env.run()
+    assert fabric.peak_active_flows == 1
+    assert flow.rate_bps == 0.0 and flow.remaining_bytes == 1e6
+    assert not flow.ok and flow.value.reason == "gone"
+    assert sibling.value is sibling
+    assert fabric.meter.total_bytes == 1e6
+
+
+def test_conditions_over_transfers_map_each_index_to_its_flow():
+    env = Environment()
+    fabric = Fabric(env, hub_topology(4))
+    flows = [fabric.transfer("hub", f"leaf{i}", (i + 1) * 1e6) for i in range(4)]
+    first = env.run(env.any_of(flows))
+    assert first == {0: flows[0]} and first[0] is flows[0]
+    every = env.run(env.all_of(flows))
+    assert every == dict(enumerate(flows))
+    assert all(every[i] is flow for i, flow in enumerate(flows))
+    # Over already-finished transfers, a condition fires at once.
+    assert env.run(env.any_of(flows)) == every

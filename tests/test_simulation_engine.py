@@ -4,6 +4,7 @@ import pytest
 
 from repro.simulation import (
     Environment,
+    Event,
     Interrupt,
     SimulationError,
 )
@@ -465,3 +466,88 @@ def test_condition_rejects_events_of_another_environment():
     with pytest.raises(SimulationError, match="different environments"):
         env.all_of([mine, other.event()])
     assert mine.callbacks == []
+
+
+def test_kernel_events_have_no_instance_dict():
+    env = Environment()
+
+    def once():
+        yield env.timeout(0.0)
+
+    proc = env.process(once())
+    entries = [env._queue[-1][2]]  # the process's _Initialize
+    env.succeed_all([env.event()])
+    entries.append(env._queue[-1][2])  # the batch
+    env.defer(lambda: None)
+    entries.append(env._queue[-1][2])  # a bare entry
+    events = [env.event(), env.timeout(1.0), proc,
+              env.all_of([env.event()]), env.any_of([env.event()])]
+    for obj in entries + events:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    with pytest.raises(AttributeError):
+        env.event().label = "x"
+
+
+def test_bare_entries_and_timeouts_run_in_scheduling_order():
+    env = Environment()
+    log = []
+
+    def timeout(delay, name):
+        env.timeout(delay).callbacks.append(lambda _event: log.append(name))
+
+    def bare(delay, name):
+        env.call_later(delay, lambda: log.append(name))
+
+    def at_zero(name):
+        env.defer(lambda: log.append(name))
+
+    steps = [
+        (bare, 1.0, "c0"), (timeout, 1.0, "t0"), (bare, 1.0, "c1"),
+        (timeout, 0.5, "t-early"), (timeout, 1.0, "t1"), (bare, 1.0, "c2"),
+        (at_zero, None, "d0"), (timeout, 0.0, "t-now"), (at_zero, None, "d1"),
+    ]
+    for kind, delay, name in steps:
+        before = env.events_scheduled
+        if kind is at_zero:
+            kind(name)
+        else:
+            kind(delay, name)
+        # One queue entry per timer, bare or not; a bare one is no event.
+        assert env.events_scheduled == before + 1
+        entry = max(env._queue, key=lambda item: item[1])[2]
+        assert isinstance(entry, Event) == (kind is timeout)
+    env.run()
+    assert log == ["d0", "t-now", "d1", "t-early",
+                   "c0", "t0", "c1", "t1", "c2"]
+    assert env.now == 1.0
+
+
+def test_call_later_rejects_negative_and_nan_delays():
+    env = Environment()
+    for delay in (-1e-9, float("nan")):
+        with pytest.raises(SimulationError):
+            env.call_later(delay, lambda: None)
+    assert env.events_scheduled == 0 and env.peek() == float("inf")
+
+
+def test_events_scheduled_counts_every_queue_entry():
+    from repro.telemetry import Telemetry
+
+    tel = Telemetry()
+    env = Environment(telemetry=tel)
+    env.timeout(1.0)
+    env.defer(lambda: None)
+    env.call_later(2.0, lambda: None)
+    env.succeed_all([env.event(), env.event()])
+    assert env.events_scheduled == 4
+    assert tel.events_scheduled == 4
+    env.run()
+    assert env.events_scheduled == 4
+
+
+def test_succeed_all_without_values_stores_none():
+    env = Environment()
+    events = [env.event() for _ in range(3)]
+    env.succeed_all(events)
+    assert [event.value for event in events] == [None] * 3
+    assert env.events_scheduled == 1
