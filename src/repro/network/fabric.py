@@ -343,7 +343,11 @@ class Fabric:
         self._flow_children: dict[tuple[str, str, Optional[str]], tuple] = {}
         self._flow_seconds_child = None
         self._track_names: dict[str, str] = {}
-        self._flows: set[Flow] = set()
+        #: The active flows in the order they were admitted (a dict used
+        #: as an ordered set), so same-instant completions, the fill and
+        #: progress accounting visit flows in a reproducible order rather
+        #: than in memory-address order.
+        self._flows: dict[Flow, None] = {}
         self._flow_ids = itertools.count()
         self._last_update = env.now
         self._generation = 0
@@ -661,7 +665,7 @@ class Fabric:
     def _register_flow(self, flow: Flow) -> None:
         """Add a flow to the active set and its resources' member sets."""
         flows = self._flows
-        flows.add(flow)
+        flows[flow] = None
         if len(flows) > self.peak_active_flows:
             self.peak_active_flows = len(flows)
         resources = self._resources
@@ -673,7 +677,7 @@ class Fabric:
 
     def _unregister_flow(self, flow: Flow) -> None:
         """Remove a finished flow from the active set and its resources."""
-        self._flows.discard(flow)
+        self._flows.pop(flow, None)
         resources = self._resources
         for state in flow.states:
             members = state.members

@@ -13,6 +13,8 @@ do not update the goldens without first understanding which change in
 the fabric/engine altered the event or arithmetic sequence.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from repro.experiments import (
     standby_peers_for,
 )
 from repro.hivemind import HivemindRunConfig, run_hivemind
+from repro.telemetry import Telemetry, to_chrome_trace, use_telemetry
 
 # --- Figure 2: single-site penalty study (A10-2), epochs=3 -------------
 
@@ -276,3 +279,53 @@ def test_chaos_run_ignores_string_hash_seed():
         )
         outputs.append(completed.stdout)
     assert outputs[0] == outputs[1]
+
+
+# --- Traced chaos runs, epochs=16 ----------------------------------------
+# Flows that finish in the same instant complete in admission order, so
+# a traced fault-injected run is one byte stream whatever the memory
+# layout or string-hash seed: sha256 prefix of its sorted Chrome trace.
+
+TRACE_GOLDENS = {1: "125dda0c78604984", 2: "99936eb41ac56c3f"}
+
+_TRACE_PROBE = """
+import sys
+from tests.test_golden_determinism import _chaos_trace_digest
+for seed in sys.argv[1:]:
+    print(seed, _chaos_trace_digest(int(seed)))
+"""
+
+
+def _chaos_trace_digest(seed):
+    tel = Telemetry()
+    with use_telemetry(tel):
+        run_experiment("B-8", "conv", epochs=16,
+                       fault_schedule=chaos_schedule_for(
+                           "B-8", seed=seed, intensity=4, horizon_s=1800))
+    text = json.dumps(to_chrome_trace(tel), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_chaos_traces_unchanged():
+    for seed, digest in TRACE_GOLDENS.items():
+        assert _chaos_trace_digest(seed) == digest, seed
+
+
+def test_chaos_traces_ignore_string_hash_seed():
+    """Same-instant completions must not follow memory addresses or
+    string hashes: the traced chaos runs are identical, and equal to
+    their goldens, in fresh interpreters under two PYTHONHASHSEEDs."""
+    root = Path(__file__).resolve().parents[1]
+    seeds = [str(seed) for seed in TRACE_GOLDENS]
+    expected = "".join(f"{seed} {digest}\n"
+                       for seed, digest in TRACE_GOLDENS.items())
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root),
+                          env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", _TRACE_PROBE, *seeds], env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        assert completed.stdout == expected, hash_seed
