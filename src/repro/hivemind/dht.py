@@ -328,7 +328,8 @@ class DhtNode:
                     return value
                 for new_contact in contacts:
                     self.routing.add(new_contact)
-                    if new_contact.node_id not in queried:
+                    if (new_contact.node_id not in queried
+                            and new_contact not in shortlist):
                         shortlist.append(new_contact)
             shortlist.sort(key=lambda c: c.node_id ^ key_id)
             shortlist = shortlist[: self.k]

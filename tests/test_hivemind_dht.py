@@ -84,6 +84,30 @@ class TestStoreGet:
 
         assert env.run(env.process(scenario())) is None
 
+    def test_lookup_queries_each_peer_at_most_once(self):
+        env, network, nodes = make_network({"gc:us": 16, "gc:eu": 16})
+        join_all(env, nodes)
+        rpc = network.rpc
+        queried = []
+
+        def counting_rpc(src, dst_id, method, *args):
+            if method == "find_value":
+                queried.append(dst_id)
+            return (yield from rpc(src, dst_id, method, *args))
+
+        network.rpc = counting_rpc
+        repeats = 0
+        for i, node in enumerate(nodes):
+            queried.clear()
+
+            def lookup():
+                return (yield from node.get(f"missing/{i}"))
+
+            assert env.run(env.process(lookup())) is None
+            assert queried
+            repeats += len(queried) - len(set(queried))
+        assert repeats == 0
+
     def test_values_expire_after_ttl(self):
         env, __, nodes = make_network()
         join_all(env, nodes)
