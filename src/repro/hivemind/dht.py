@@ -129,7 +129,7 @@ class DhtNetwork:
         #: operation, so skip per-call label/name construction.
         self._span = (self.telemetry.tracer.span if self.telemetry.enabled
                       else self.telemetry.span)
-        self._per_method: dict[str, tuple[str, object]] = {}
+        self._per_method: dict[str, tuple[str, object, str]] = {}
         self.nodes: dict[int, "DhtNode"] = {}
         self.rpc_count = 0
 
@@ -138,6 +138,13 @@ class DhtNetwork:
 
     def unregister(self, node_id: int) -> None:
         self.nodes.pop(node_id, None)
+
+    def close(self) -> None:
+        """Forget every node once the simulation is over: each node
+        refers back to the network, so the registry would otherwise
+        keep the network and its nodes alive until the cyclic
+        collector runs."""
+        self.nodes.clear()
 
     def rpc(self, src: "DhtNode", dst_id: int, method: str, *args):
         """Round-trip RPC as a simulation process; returns the response
@@ -149,8 +156,9 @@ class DhtNetwork:
             cached = self._per_method[method] = (
                 f"dht:{method}",
                 self._ops_counter.labels(method=method),
+                f"handle_{method}",
             )
-        name, ops_child = cached
+        name, ops_child, handler = cached
         ops_child.inc()
         ft = self.fault_tolerance
         for attempt in range(ft.dht_max_retries + 1 if ft is not None else 1):
@@ -166,13 +174,14 @@ class DhtNetwork:
                 self._timeout_counter.inc(method=method)
                 yield self.env.timeout(_RPC_TIMEOUT_S)
                 continue
-            response = yield from self._attempt(src, dst, name, method, args)
+            response = yield from self._attempt(src, dst, name, method,
+                                                handler, args)
             if response is not _RPC_FAILED:
                 return response
         return None
 
     def _attempt(self, src: "DhtNode", dst: "DhtNode", name: str,
-                 method: str, args: tuple):
+                 method: str, handler: str, args: tuple):
         """One round trip; returns the response or ``_RPC_FAILED`` when
         a transport timeout cancelled a leg."""
         ft = self.fault_tolerance
@@ -189,12 +198,7 @@ class DhtNetwork:
                     self.fabric.abort(request, reason="dht-timeout")
                     self._timeout_counter.inc(method=method)
                     return _RPC_FAILED
-            handler = dst._handler_cache.get(method)
-            if handler is None:
-                handler = dst._handler_cache[method] = getattr(
-                    dst, f"handle_{method}"
-                )
-            response = handler(src, *args)
+            response = getattr(dst, handler)(src, *args)
             reply = self.fabric.transfer(dst.site, src.site, _RPC_BYTES,
                                          tag="dht")
             if timeout_s is None:
@@ -228,7 +232,6 @@ class DhtNode:
         #: tables and RPC responses hold this object, so membership
         #: checks compare by identity. A rejoin keeps it.
         self.contact = _Contact(self.node_id, site)
-        self._handler_cache: dict[str, Any] = {}
         self.routing = RoutingTable(self.node_id, k=k)
         self.k = k
         self.alpha = alpha

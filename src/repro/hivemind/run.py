@@ -444,7 +444,9 @@ class _Run:
                         if config.numeric is not None else None)
 
         # -- DHT --------------------------------------------------------------
-        dht_network = DhtNetwork(env, fabric, telemetry=tel, fault_tolerance=ft)
+        dht_network = self.dht_network = DhtNetwork(
+            env, fabric, telemetry=tel, fault_tolerance=ft
+        )
         self.dht_nodes = {
             site: DhtNode(dht_network, site) for site in all_sites
         }
@@ -642,9 +644,14 @@ class _Run:
         if self.tracing:
             self.tel.sync_kernel_metrics()
         result = self._result(duration_s)
-        # Nothing transfers after this: free the routes now rather than
-        # when the collector reaches the cycles that hold the fabric.
+        # Nothing runs after this: release what the unfinished processes,
+        # the routes, the DHT registry and the averager's liveness probe
+        # hold, so the run is freed by reference counting rather than
+        # when the cyclic collector reaches it.
+        self.env.close()
         self.fabric.close()
+        self.dht_network.close()
+        self.averager.set_liveness(None)
         return result
 
     def _train(self):

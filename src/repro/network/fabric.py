@@ -542,13 +542,20 @@ class Fabric:
         counting even while cycles elsewhere keep the fabric itself
         alive. Every later :meth:`transfer` raises: with the cache empty
         it must resolve its route, and resolution refuses. Flows still
-        in flight keep their states through ``flow.states``, and the
-        active set and occupied resources are left as they are.
+        in flight or waiting for admission are let go too (the active
+        set, the occupied states' member sets and the pending admission
+        batch), because each of them refers back to the fabric; they
+        never complete.
         """
         self._closed = True
         self._rid_cache.clear()
         self._pair_routes = None
         self._states.clear()
+        self._admission = None
+        self._flows.clear()
+        for state in self._resources.values():
+            state.members.clear()
+        self._resources.clear()
 
     def ping_s(self, a: str, b: str) -> float:
         """ICMP-style round-trip time between two sites, in seconds."""

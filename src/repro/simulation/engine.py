@@ -242,6 +242,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
+        env._processes[self] = None
         tel = env._telemetry
         if tel is not None:
             # Full hook only when the sink records process spans; the
@@ -292,6 +293,7 @@ class Process(Event):
             self._ok = True
             self._value = stop.value
             self.env._queue_event(self)
+            self.env._processes.pop(self, None)
             tel = self.env._telemetry
             if tel is not None:
                 if tel.capture_processes:
@@ -304,6 +306,7 @@ class Process(Event):
             self._ok = False
             self._value = error
             self.env._queue_event(self)
+            self.env._processes.pop(self, None)
             tel = self.env._telemetry
             if tel is not None:
                 if tel.capture_processes:
@@ -428,6 +431,8 @@ class Environment:
         self._queue: list[tuple[float, int, Event | _Call]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
+        #: Processes that have not finished, in creation order.
+        self._processes: dict[Process, None] = {}
         #: Optional telemetry sink (duck-typed; see module docstring).
         self._telemetry = telemetry
         if telemetry is not None:
@@ -540,6 +545,29 @@ class Environment:
             depth = len(self._queue)
             if depth > tel.queue_depth_high_water:
                 tel.queue_depth_high_water = depth
+
+    def close(self) -> None:
+        """End the simulation and release what it still holds.
+
+        Drops every queued entry, unlinks each unfinished process from
+        the event it waits on and closes its generator (which raises
+        ``GeneratorExit`` at its ``yield``, so its ``with`` blocks exit:
+        a traced span closes at the final clock, as
+        :meth:`repro.telemetry.Tracer.seal` would close it). Processes,
+        events and their callbacks refer to each other; afterwards none
+        of these cycles hold the environment, so a finished simulation
+        is freed by reference counting. Nothing may run afterwards.
+        """
+        for __, __, event in self._queue:
+            if isinstance(event, Event) and event.callbacks:
+                event.callbacks.clear()
+        self._queue.clear()
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            target, process._target = process._target, None
+            if target is not None and target.callbacks:
+                target.callbacks.clear()
+            process._generator.close()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""

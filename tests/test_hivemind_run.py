@@ -395,3 +395,29 @@ class TestRunTeardown:
             assert all(ref() is None for ref in channel_states)
         finally:
             gc.enable()
+
+    def test_finished_run_is_freed_without_the_collector(self, monkeypatch):
+        """The run, its environment and its fabric are freed by
+        reference counting once ``run_hivemind`` returns, including the
+        progress store still in flight when training ends."""
+        from repro.experiments import run_experiment
+        from repro.hivemind import run as run_module
+
+        refs = []
+
+        class WatchedRun(run_module._Run):
+            def __init__(self, config):
+                super().__init__(config)
+                refs.extend(weakref.ref(obj)
+                            for obj in (self, self.env, self.fabric))
+
+        monkeypatch.setattr(run_module, "_Run", WatchedRun)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_experiment("B-8", "conv", epochs=2)
+            assert len(refs) == 3
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
+        assert result.run.epochs

@@ -579,6 +579,19 @@ def test_closed_fabric_drops_its_routes_and_refuses_transfers():
     assert fabric.active_flows == 0 and not fabric._rid_cache
 
 
+def test_closed_fabric_lets_in_flight_flows_go():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    running = fabric.transfer("a", "c", 1e9)
+    env.run(until=0.5)
+    fabric.transfer("a", "b", 1e9)
+    assert fabric.active_flows == 1 and fabric._admission is not None
+    fabric.close()
+    assert fabric.active_flows == 0 and fabric._admission is None
+    assert not fabric._resources
+    assert all(not state.members for state in running.states)
+
+
 # -- the flow is its own completion event ---------------------------------
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulation import (
@@ -551,3 +554,39 @@ def test_succeed_all_without_values_stores_none():
     env.succeed_all(events)
     assert [event.value for event in events] == [None] * 3
     assert env.events_scheduled == 1
+
+
+def test_close_releases_unfinished_processes():
+    env = Environment()
+    never = env.event()
+    unwound = []
+
+    def waiter(event):
+        try:
+            yield event
+        finally:
+            unwound.append(event)
+
+    def finished():
+        yield env.timeout(0.5)
+
+    done = env.process(finished())
+    generators = [waiter(never), waiter(env.timeout(10.0))]
+    refs = [weakref.ref(generator) for generator in generators]
+    processes = [env.process(generator) for generator in generators]
+    del generators
+    env.run(until=1.0)
+    assert list(env._processes) == processes and env._queue
+    gc.collect()
+    gc.disable()
+    try:
+        env.close()
+        # Each generator unwound at its yield, in creation order.
+        assert unwound[0] is never and len(unwound) == 2
+        assert not env._queue and not env._processes
+        assert never.callbacks == []
+        del processes
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+    assert done.processed
