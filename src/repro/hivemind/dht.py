@@ -4,10 +4,15 @@ Hivemind spans a DHT over all participating peers for metadata storage
 — training progress, peer health, matchmaking coordination (Section
 2.1, citing Kademlia). This is a real implementation: 160-bit XOR
 metric, k-buckets, iterative lookups with parallelism ``alpha``, and
-TTL-expiring values. Every RPC is a round trip through the
-:class:`~repro.network.fabric.Fabric`, so DHT operations cost genuine
-simulated latency (which is what makes geo-distributed matchmaking
-slower than zone-local matchmaking).
+TTL-expiring values. Every RPC is a request and a reply, each a
+:class:`~repro.network.fabric.Message` on the
+:class:`~repro.network.fabric.Fabric`: delivered after the route's
+one-way propagation plus its 512 bytes at the route's slowest rate,
+read when it is sent, and metered as ``"dht"`` traffic. DHT operations
+therefore cost genuine simulated latency (which is what makes
+geo-distributed matchmaking slower than zone-local matchmaking), but
+RPCs do not contend with averaging flows for bandwidth, and a link
+fault does not retime a message already in flight.
 
 Contacts are interned: each :class:`DhtNode` builds its contact record
 once, and routing tables and RPC responses only pass those objects
@@ -93,15 +98,17 @@ _RPC_FAILED = object()
 
 
 class DhtNetwork:
-    """Transport + registry; RPCs travel through the fabric.
+    """Transport + registry; RPCs travel as fabric messages.
 
     Without a ``fault_tolerance`` policy
     (:class:`repro.faults.FaultTolerance`) behaviour is exactly the
-    legacy one: a single attempt whose transfers wait forever. With one,
-    RPCs get its bounded retry-with-backoff (``dht_max_retries``,
-    ``dht_backoff_s``, ``backoff_factor``) on top of the dead-peer
-    timeout, plus its per-attempt transport timeout
-    (``dht_rpc_timeout_s``) that aborts the in-flight transfer.
+    legacy one: a single attempt that waits for both messages however
+    long they take. With one, RPCs get its bounded retry-with-backoff
+    (``dht_max_retries``, ``dht_backoff_s``, ``backoff_factor``) on top
+    of the dead-peer timeout, plus its per-attempt transport timeout
+    (``dht_rpc_timeout_s``) that cancels the message in flight (for
+    instance one sent across a partition, which crawls at the
+    partition's floor rate).
     """
 
     def __init__(
@@ -183,30 +190,27 @@ class DhtNetwork:
     def _attempt(self, src: "DhtNode", dst: "DhtNode", name: str,
                  method: str, handler: str, args: tuple):
         """One round trip; returns the response or ``_RPC_FAILED`` when
-        a transport timeout cancelled a leg."""
+        a transport timeout cancelled a leg's message."""
         ft = self.fault_tolerance
         timeout_s = ft.dht_rpc_timeout_s if ft is not None else None
         with self._span(name, category="dht", track=src.site, dst=dst.site):
-            request = self.fabric.transfer(src.site, dst.site, _RPC_BYTES,
-                                           tag="dht")
+            request = self.fabric.message(src.site, dst.site, _RPC_BYTES,
+                                          "dht")
             if timeout_s is None:
                 yield request
             else:
                 yield self.env.any_of([request,
                                        self.env.timeout(timeout_s)])
-                if not request.triggered:
-                    self.fabric.abort(request, reason="dht-timeout")
+                if request.cancel():
                     self._timeout_counter.inc(method=method)
                     return _RPC_FAILED
             response = getattr(dst, handler)(src, *args)
-            reply = self.fabric.transfer(dst.site, src.site, _RPC_BYTES,
-                                         tag="dht")
+            reply = self.fabric.message(dst.site, src.site, _RPC_BYTES, "dht")
             if timeout_s is None:
                 yield reply
             else:
                 yield self.env.any_of([reply, self.env.timeout(timeout_s)])
-                if not reply.triggered:
-                    self.fabric.abort(reply, reason="dht-timeout")
+                if reply.cancel():
                     self._timeout_counter.inc(method=method)
                     return _RPC_FAILED
         dst.routing.add(src.contact)

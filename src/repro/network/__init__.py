@@ -4,7 +4,7 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
-    fabric=("Fabric", "Flow", "TrafficMeter", "TransferAborted"),
+    fabric=("Fabric", "Flow", "Message", "TrafficMeter", "TransferAborted"),
     profiler=(
         "ProfileResult",
         "measure_bandwidth_bps",

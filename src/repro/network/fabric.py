@@ -83,9 +83,23 @@ it drops its route cache and resource states so that they are freed
 at once, even while reference cycles elsewhere keep the fabric alive,
 and refuses any later transfer.
 
-Every completed transfer is recorded in a :class:`TrafficMeter` so the
-cost model can later price egress per traffic class, and so a run can
-say which bytes were averaging, DHT or state-sync traffic.
+A control-plane payload too small to matter to the fair share (a DHT
+RPC leg) is a :class:`Message` instead (:meth:`Fabric.message`). Its
+route is resolved through the same cache as a transfer's, and its
+delivery time is fixed when it is sent: one-way propagation plus
+``nbytes·8`` over the slowest of the route's single-stream ceiling and
+its resources' capacities. It is one kernel queue entry at that time,
+like a :class:`Timeout`, and never joins the active set or the fill, so
+it takes no bandwidth from flows, a fault that lands while it is in
+flight does not retime it, and it draws nothing from the jitter
+generator. :meth:`Message.cancel` withdraws it before delivery (a
+timed-out RPC); that is not an abort.
+
+Every completed transfer and delivered message is recorded in a
+:class:`TrafficMeter` so the cost model can later price egress per
+traffic class, and so a run can say which bytes were averaging, DHT or
+state-sync traffic. An aborted flow meters the bytes it delivered; a
+cancelled message meters nothing.
 """
 
 from __future__ import annotations
@@ -103,7 +117,7 @@ from ..telemetry import NULL_TELEMETRY
 from .tcp import effective_ceiling_bps
 from .topology import Site, Topology, classify_traffic
 
-__all__ = ["Fabric", "Flow", "TrafficMeter", "TransferAborted"]
+__all__ = ["Fabric", "Flow", "Message", "TrafficMeter", "TransferAborted"]
 
 _EPS = 1e-9
 
@@ -220,6 +234,72 @@ class Flow(Event):
         return tuple(state.rid for state in self.states)
 
 
+class Message(Event):
+    """A small message, delivered after a delay fixed when it is sent.
+
+    :meth:`Fabric.message` returns it. Like a :class:`Timeout`, it is
+    triggered when created (its ``value`` is ``None``) and takes one
+    kernel queue entry, at its delivery time. When that entry fires,
+    the fabric meters the bytes and then the waiters run. It never
+    joins the active set or the max-min fill, draws nothing from the
+    jitter generator and opens no span. :meth:`cancel` withdraws it
+    before delivery.
+    """
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "tag", "started_s", "cancelled")
+
+    fabric: Fabric
+    src: Site
+    dst: Site
+    nbytes: float
+    tag: Optional[str]
+    #: Sim time the message was sent (for telemetry durations).
+    started_s: float
+    #: Set by :meth:`cancel`; a cancelled message is never delivered.
+    cancelled: bool
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        src: Site,
+        dst: Site,
+        nbytes: float,
+        tag: Optional[str],
+        delay: float,
+    ):
+        # Event.__init__, inlined, with the value decided as a Timeout's.
+        env = self.env = fabric.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self.defused = False
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.tag = tag
+        self.started_s = env._now
+        self.cancelled = False
+        env._queue_event(self, delay)
+
+    def cancel(self) -> bool:
+        """Withdraw the message before it is delivered: it is never
+        metered, since none of it arrived, and its waiters never run.
+        Returns ``False``, changing nothing, once it has been delivered
+        or cancelled."""
+        if self.callbacks is None or self.cancelled:
+            return False
+        self.cancelled = True
+        return True
+
+    def _run_callbacks(self) -> None:
+        if self.cancelled:
+            self.callbacks = None
+            return
+        self.fabric._meter(self.src, self.dst, self.nbytes, self.tag, self.started_s)
+        super()._run_callbacks()
+
+
 class TrafficMeter:
     """Accumulates transferred bytes per site pair, traffic class and
     tag. Billing reads the pair, class and site totals, which cover
@@ -313,9 +393,9 @@ class Fabric:
         #: the facade passthrough.
         self._tracer = self.telemetry.tracer if self.telemetry.enabled else None
         #: Flows below this size are metered (all counters still fire)
-        #: but get no per-flow span: control-plane messages like DHT
-        #: RPC payloads are already spanned at the protocol layer, and
-        #: they outnumber data flows by an order of magnitude.
+        #: but get no per-flow span: small control payloads are spanned
+        #: at the protocol layer that sends them. Messages never open
+        #: one.
         self.trace_min_bytes = trace_min_bytes
         self._bytes_counter = self.telemetry.counter(
             "transfer_bytes_total",
@@ -428,16 +508,9 @@ class Fabric:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if self.topology._version != self._topology_version:
-            # A bare ``set_path`` nobody reported: account progress at
-            # the old rates and refill, as ``on_topology_change`` would.
-            self._refresh_topology_caches()
-            self._advance_clock()
-            self._mark_dirty()
-        entry = self._rid_cache.get((src, dst, channels))
-        if entry is None:
-            entry = self._resolve_transfer(src, dst, channels)
-        src_site, dst_site, path, propagation, states, ceiling = entry
+        src_site, dst_site, path, propagation, states, ceiling = self._route(
+            src, dst, channels
+        )
         if streams != 1 or stream_cap_bps is not None:
             if stream_cap_bps is None:
                 stream_cap_bps = self.stream_cap_bps
@@ -483,6 +556,43 @@ class Fabric:
         else:
             env.defer(partial(self._admit_batch, [flow]))
         return flow
+
+    def message(
+        self, src: str, dst: str, nbytes: float, tag: Optional[str] = None
+    ) -> Message:
+        """Send a small message of ``nbytes`` from ``src`` to ``dst``.
+
+        Returns the :class:`Message`, delivered after one-way
+        propagation plus ``nbytes·8`` over the slowest of the route's
+        single-stream ceiling and its resources' capacities, all read
+        now: a later topology change does not retime it, and it takes
+        no bandwidth from flows. For control-plane payloads (DHT RPCs)
+        too small to matter to the fair share.
+        """
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        src_site, dst_site, __, propagation, states, rate = self._route(src, dst, ())
+        for state in states:
+            if state.capacity < rate:
+                rate = state.capacity
+        total = float(nbytes)
+        return Message(
+            self, src_site, dst_site, total, tag, propagation + total * 8.0 / rate
+        )
+
+    def _route(self, src: str, dst: str, channels: tuple[str, ...]) -> tuple:
+        """The cached route of (src, dst, channels), resolved on a miss,
+        after catching up with a topology change nobody reported."""
+        if self.topology._version != self._topology_version:
+            # A bare ``set_path``: account progress at the old rates and
+            # refill, as ``on_topology_change`` would.
+            self._refresh_topology_caches()
+            self._advance_clock()
+            self._mark_dirty()
+        entry = self._rid_cache.get((src, dst, channels))
+        if entry is None:
+            entry = self._resolve_transfer(src, dst, channels)
+        return entry
 
     def _resolve_transfer(
         self, src: str, dst: str, channels: tuple[str, ...]
@@ -614,33 +724,40 @@ class Fabric:
 
     # -- flow lifecycle ---------------------------------------------------
 
-    def _finish_flow(self, flow: Flow) -> None:
-        """Meter a delivered flow; the caller then triggers it."""
-        self.meter.record(flow.src, flow.dst, flow.total_bytes, flow.tag)
+    def _meter(
+        self, src: Site, dst: Site, nbytes: float, tag: Optional[str], started_s: float
+    ) -> None:
+        """Record a delivered transfer or message: the traffic meter,
+        and the byte, transfer and duration metrics when tracing."""
+        self.meter.record(src, dst, nbytes, tag)
         if self._tracer is not None:
-            # One cache lookup per flow: (src, dst, tag) resolves the
+            # One cache lookup per delivery: (src, dst, tag) resolves the
             # traffic class and both bound counter children at once.
-            child_key = (flow.src.name, flow.dst.name, flow.tag)
+            child_key = (src.name, dst.name, tag)
             children = self._flow_children.get(child_key)
             if children is None:
-                traffic_class = classify_traffic(flow.src, flow.dst)
+                traffic_class = classify_traffic(src, dst)
                 children = self._flow_children[child_key] = (
                     self._bytes_counter.labels(
-                        link_class=traffic_class, tag=flow.tag or "data"
+                        link_class=traffic_class, tag=tag or "data"
                     ),
                     self._flows_counter.labels(link_class=traffic_class),
                 )
             bytes_child, flows_child = children
-            bytes_child.inc(flow.total_bytes)
+            bytes_child.inc(nbytes)
             flows_child.inc()
             seconds_child = self._flow_seconds_child
             if seconds_child is None:
                 seconds_child = self._flow_seconds_child = (
                     self._flow_seconds.labels()
                 )
-            seconds_child.observe(self.env._now - flow.started_s)
-            if flow.span is not None:
-                self._tracer.finish(flow.span)
+            seconds_child.observe(self.env._now - started_s)
+
+    def _finish_flow(self, flow: Flow) -> None:
+        """Meter a delivered flow; the caller then triggers it."""
+        self._meter(flow.src, flow.dst, flow.total_bytes, flow.tag, flow.started_s)
+        if flow.span is not None:
+            self._tracer.finish(flow.span)
         tel = self.env._telemetry
         if tel is not None:
             # Close out the flow's logical process.

@@ -53,7 +53,9 @@ __all__ = [
 #: static results cannot shadow adaptive ones and vice versa.
 #: v3: ``averaging_bytes`` counts only averaging flows, and run payloads
 #: carry ``bytes_by_tag``.
-FINGERPRINT_VERSION = 3
+#: v4: DHT RPCs are fixed-delay messages, not fabric flows, so runs
+#: with a DHT time their matchmaking and meter their aborts differently.
+FINGERPRINT_VERSION = 4
 
 _KIND = "__kind__"
 _VALUE = "__value__"

@@ -1,6 +1,6 @@
 """Tests for the Kademlia-style DHT over the simulated fabric."""
 
-from repro.faults import FaultTolerance
+from repro.faults import PARTITION_FLOOR_BPS, FaultTolerance
 from repro.hivemind import DhtNetwork, DhtNode, node_id_for, xor_distance
 from repro.hivemind.dht import _RPC_TIMEOUT_S
 from repro.network import Fabric, build_topology
@@ -60,6 +60,48 @@ class TestJoinAndRouting:
         join_all(env, nodes)
         assert network.rpc_count > 0
         assert network.fabric.meter.total_bytes > 0
+
+
+class TestRpcMessages:
+    def test_each_leg_is_one_metered_message(self):
+        tel = Telemetry()
+        env, network, nodes = make_network({"gc:us": 1, "gc:eu": 1},
+                                           telemetry=tel)
+        fabric = network.fabric
+        response = env.run(env.process(
+            network.rpc(nodes[0], nodes[1].node_id, "ping")
+        ))
+        assert response is True
+        assert fabric.meter.by_tag == {"dht": 1024.0}
+        assert fabric.peak_active_flows == 0 and fabric.aborted_flows == 0
+        # The traced RPC span stays; the legs open none of their own.
+        spans = tel.tracer.spans
+        assert [(s.name, s.category) for s in spans] == [("dht:ping", "dht")]
+        assert env.now > fabric.topology.rtt_s(nodes[0].site, nodes[1].site)
+
+    def test_partition_at_send_time_is_caught_by_the_rpc_timeout(self):
+        tel = Telemetry()
+        policy = FaultTolerance(dht_rpc_timeout_s=2.0, dht_max_retries=1,
+                                dht_backoff_s=1.0)
+        env, network, nodes = make_network(
+            {"gc:us": 1, "gc:eu": 1}, telemetry=tel, fault_tolerance=policy
+        )
+        fabric = network.fabric
+        a, b = nodes[0].site, nodes[1].site
+        path = fabric.topology.path(a, b)
+        fabric.topology.set_path(a, b, capacity_bps=PARTITION_FLOOR_BPS,
+                                 rtt_s=path.rtt_s)
+        fabric.on_topology_change()
+        response = env.run(env.process(network.rpc(nodes[0], nodes[1].node_id,
+                                                   "ping")))
+        assert response is None
+        assert env.now == 2.0 + 1.0 + 2.0
+        assert tel.metrics.get("dht_timeouts_total").total == 2
+        # Both requests were cancelled: never delivered, never metered,
+        # and not fabric aborts.
+        env.run()
+        assert fabric.meter.total_bytes == 0
+        assert fabric.aborted_flows == 0
 
 
 class TestStoreGet:

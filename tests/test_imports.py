@@ -79,7 +79,7 @@ PUBLIC_NAMES = {
         models_in_domain square_cube_family synthetic_transformer
     """.split(),
     "repro.network": """
-        Fabric Flow GBPS LOCATIONS MBPS PATH_OVERRIDES PathSpec
+        Fabric Flow GBPS LOCATIONS MBPS Message PATH_OVERRIDES PathSpec
         ProfileResult Site Topology TrafficClass TrafficMeter
         TransferAborted build_topology classify_traffic
         effective_ceiling_bps location_of measure_bandwidth_bps

@@ -2,9 +2,18 @@
 
 import gc
 
+import numpy as np
 import pytest
 
-from repro.network import Fabric, Flow, GBPS, Site, Topology, TransferAborted
+from repro.network import (
+    Fabric,
+    Flow,
+    GBPS,
+    Message,
+    Site,
+    Topology,
+    TransferAborted,
+)
 from repro.simulation import Environment, Event, SimulationError
 from repro.telemetry import Telemetry
 
@@ -673,3 +682,159 @@ def test_conditions_over_transfers_map_each_index_to_its_flow():
     assert all(every[i] is flow for i, flow in enumerate(flows))
     # Over already-finished transfers, a condition fires at once.
     assert env.run(env.any_of(flows)) == every
+
+
+# -- messages: fixed-delay, one queue entry, metered on delivery ----------
+
+
+def test_message_delay_is_propagation_plus_bytes_over_the_slowest_rate():
+    # NIC-bound: 1 Mb/s NICs on a 1 Gb/s path under a 64 MB window.
+    topo = two_site_topology(nic_bps=1e6)
+    topo.set_path("a", "b", rtt_s=0.2, capacity_bps=1 * GBPS)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.message("a", "b", 512.0)
+    env.run()
+    assert env.now == 0.1 + 512.0 * 8.0 / 1e6
+    # Ceiling-bound: window / RTT = 8 * 1e3 / 0.2 = 40 kb/s.
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(window=1e3, rtt=0.2))
+    fabric.message("a", "b", 512.0)
+    env.run()
+    assert env.now == 0.1 + 512.0 * 8.0 / 40e3
+    # The fabric's stream cap lowers the ceiling; zero bytes take only
+    # the propagation delay.
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2), stream_cap_bps=1e4)
+    empty = fabric.message("a", "b", 0.0)
+    capped = fabric.message("a", "b", 100.0)
+    env.run(empty)
+    assert env.now == 0.1
+    env.run(capped)
+    assert env.now == 0.1 + 100.0 * 8.0 / 1e4
+    with pytest.raises(ValueError):
+        fabric.message("a", "b", -1.0)
+
+
+def test_message_is_one_queue_entry_outside_the_fill():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    message = fabric.message("a", "b", 512.0, "dht")
+    assert isinstance(message, Message) and isinstance(message, Event)
+    assert not hasattr(message, "__dict__")
+    assert env.events_scheduled == 1
+    assert [entry for __, __, entry in env._queue] == [message]
+    # Decided when sent, like a timeout; processed when delivered.
+    assert message.triggered and message.value is None
+    assert not message.processed
+
+    def waiter():
+        return (yield message)
+
+    assert env.run(env.process(waiter())) is None
+    assert message.processed
+    assert fabric.active_flows == 0 and fabric.peak_active_flows == 0
+    assert fabric._admission is None and not fabric._refill_pending
+
+
+def test_message_bytes_are_metered_on_delivery_by_tag():
+    tel = Telemetry()
+    env = Environment(telemetry=tel)
+    fabric = Fabric(env, two_site_topology(rtt=0.2), telemetry=tel)
+    fabric.message("a", "b", 512.0, "dht")
+    fabric.message("b", "a", 512.0, "dht")
+    fabric.message("a", "c", 100.0)
+    assert fabric.meter.total_bytes == 0
+    env.run()
+    assert fabric.meter.by_tag == {"dht": 1024.0, "data": 100.0}
+    assert fabric.meter.by_pair[("a", "b")] == 512.0
+    counter = tel.metrics.get("transfer_bytes_total")
+    by_tag = {}
+    for labels, value in counter.samples():
+        tag = dict(labels)["tag"]
+        by_tag[tag] = by_tag.get(tag, 0.0) + value
+    assert by_tag == {"dht": 1024.0, "data": 100.0}
+    assert tel.metrics.get("transfers_total").total == 3
+
+
+def test_cancelled_message_is_never_delivered_nor_metered():
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    message = fabric.message("a", "b", 512.0, "dht")
+    woken = []
+    message.callbacks.append(woken.append)
+    env.run(until=0.05)
+    assert message.cancel()
+    assert not message.cancel()
+    env.run()
+    assert not woken and fabric.meter.total_bytes == 0
+    assert env.events_scheduled == 1
+    # Not a fabric abort: nothing to unregister, nothing counted.
+    assert not fabric.abort(message) and fabric.aborted_flows == 0
+    delivered = fabric.message("a", "b", 512.0, "dht")
+    env.run()
+    assert not delivered.cancel()
+    assert fabric.meter.by_tag == {"dht": 512.0}
+
+
+def test_message_keeps_the_delay_read_when_sent():
+    topo = two_site_topology(nic_bps=1e6, rtt=0.2)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    message = fabric.message("a", "b", 512.0)
+    env.run(until=0.05)
+    # A link fault mid-flight: the path drops to a partition's floor.
+    topo.set_path("a", "b", rtt_s=0.2, capacity_bps=8.0)
+    fabric.on_topology_change()
+    env.run(message)
+    assert env.now == 0.1 + 512.0 * 8.0 / 1e6
+    # Sent while the floor holds, it takes 512 s.
+    late = fabric.message("a", "b", 512.0)
+    start = env.now
+    env.run(late)
+    assert env.now == start + (0.1 + 512.0 * 8.0 / 8.0)
+
+
+def test_message_resolves_its_route_like_a_transfer():
+    topo = two_site_topology(nic_bps=1e6, rtt=0.2)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    flow = fabric.transfer("b", "c", 1e6)
+    env.run(until=1.0)
+    # A bare set_path nobody reported: the message catches up, refreshes
+    # the route and accounts the flow's progress, as a transfer would.
+    topo.set_path("a", "b", rtt_s=0.4, capacity_bps=5e5)
+    message = fabric.message("a", "b", 512.0)
+    assert fabric._topology_version == topo._version
+    assert flow.remaining_bytes < 1e6
+    env.run(message)
+    assert env.now == 1.0 + (0.2 + 512.0 * 8.0 / 5e5)
+    fabric.close()
+    with pytest.raises(RuntimeError, match="closed fabric"):
+        fabric.message("a", "b", 512.0)
+
+
+def test_message_draws_nothing_from_the_jitter_generator():
+    env = Environment()
+    rng = np.random.default_rng(7)
+    fabric = Fabric(env, two_site_topology(), jitter=0.3, rng=rng)
+    state = rng.bit_generator.state
+    fabric.message("a", "b", 512.0)
+    env.run()
+    assert rng.bit_generator.state == state
+    fabric.transfer("a", "b", 512.0)
+    assert rng.bit_generator.state != state
+
+
+def test_message_opens_no_span():
+    tel = Telemetry()
+    env = Environment(telemetry=tel)
+    fabric = Fabric(env, two_site_topology(), telemetry=tel,
+                    trace_min_bytes=0.0)
+    fabric.message("a", "b", 512.0, "dht")
+    env.run()
+    assert not tel.tracer.spans
+    fabric.transfer("a", "b", 512.0, tag="dht")
+    env.run()
+    assert [span.category for span in tel.tracer.spans] == ["transfer"]
+
