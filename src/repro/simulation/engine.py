@@ -24,7 +24,9 @@ own slots. A timer that nothing waits on needs no event at all:
 takes one ``(time, sequence)`` slot like any event. Its class-level
 ``_ok`` marks it as succeeded, so the run loops treat it like an event.
 :attr:`Environment.events_scheduled` counts every queue entry, bare
-entries included.
+entries included. :meth:`Environment.close` ends a simulation: it drops
+the queue and closes every unfinished process, so a finished
+simulation is freed by reference counting.
 
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
@@ -550,17 +552,15 @@ class Environment:
         """End the simulation and release what it still holds.
 
         Drops every queued entry, unlinks each unfinished process from
-        the event it waits on and closes its generator (which raises
-        ``GeneratorExit`` at its ``yield``, so its ``with`` blocks exit:
-        a traced span closes at the final clock, as
-        :meth:`repro.telemetry.Tracer.seal` would close it). Processes,
-        events and their callbacks refer to each other; afterwards none
-        of these cycles hold the environment, so a finished simulation
-        is freed by reference counting. Nothing may run afterwards.
+        the event it waits on (dropping that event's callbacks) and
+        closes its generator, which raises ``GeneratorExit`` at its
+        ``yield``, so its ``with`` blocks exit: a traced span closes at
+        the final clock, as :meth:`repro.telemetry.Tracer.seal` would
+        close it. A waiting process and its event, or a queued event and
+        the environment, would otherwise hold each other (and the
+        environment) until the cyclic collector ran. Nothing may run
+        afterwards.
         """
-        for __, __, event in self._queue:
-            if isinstance(event, Event) and event.callbacks:
-                event.callbacks.clear()
         self._queue.clear()
         processes, self._processes = self._processes, {}
         for process in processes:
