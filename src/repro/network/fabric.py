@@ -239,7 +239,8 @@ class Message(Event):
 
     :meth:`Fabric.message` returns it. Like a :class:`Timeout`, it is
     triggered when created (its ``value`` is ``None``) and takes one
-    kernel queue entry, at its delivery time. When that entry fires,
+    kernel queue entry, at its delivery time (none on a route without
+    capacity, where it is never delivered). When that entry fires,
     the fabric meters the bytes and then the waiters run. It never
     joins the active set or the max-min fill, draws nothing from the
     jitter generator and opens no span. :meth:`cancel` withdraws it
@@ -265,7 +266,7 @@ class Message(Event):
         dst: Site,
         nbytes: float,
         tag: Optional[str],
-        delay: float,
+        delay: Optional[float],
     ):
         # Event.__init__, inlined, with the value decided as a Timeout's.
         env = self.env = fabric.env
@@ -280,7 +281,8 @@ class Message(Event):
         self.tag = tag
         self.started_s = env._now
         self.cancelled = False
-        env._queue_event(self, delay)
+        if delay is not None:
+            env._queue_event(self, delay)
 
     def cancel(self) -> bool:
         """Withdraw the message before it is delivered: it is never
@@ -576,9 +578,10 @@ class Fabric:
             if state.capacity < rate:
                 rate = state.capacity
         total = float(nbytes)
-        return Message(
-            self, src_site, dst_site, total, tag, propagation + total * 8.0 / rate
-        )
+        # A route without capacity delivers nothing, as a flow on it
+        # stalls: the message is never queued, and only cancel ends it.
+        delay = propagation + total * 8.0 / rate if rate > 0 else None
+        return Message(self, src_site, dst_site, total, tag, delay)
 
     def _route(self, src: str, dst: str, channels: tuple[str, ...]) -> tuple:
         """The cached route of (src, dst, channels), resolved on a miss,

@@ -795,6 +795,18 @@ def test_message_keeps_the_delay_read_when_sent():
     assert env.now == start + (0.1 + 512.0 * 8.0 / 8.0)
 
 
+def test_message_on_a_route_without_capacity_is_never_delivered():
+    topo = two_site_topology()
+    topo.set_path("a", "b", capacity_bps=0.0)
+    env = Environment()
+    fabric = Fabric(env, topo)
+    message = fabric.message("a", "b", 512.0)
+    assert env.events_scheduled == 0
+    env.run()
+    assert not message.processed and fabric.meter.total_bytes == 0
+    assert message.cancel()
+
+
 def test_message_resolves_its_route_like_a_transfer():
     topo = two_site_topology(nic_bps=1e6, rtt=0.2)
     env = Environment()
