@@ -8,7 +8,7 @@ against the A100 and the 4xT4 DDP node — and let the planner say the
 same thing in words.
 """
 
-from repro.core import evaluate_setup, recommend_target_batch_size
+from repro.core import evaluate_setup
 from repro.experiments import centralized_baseline, run_experiment
 from repro.network import build_topology
 
@@ -29,12 +29,6 @@ def main() -> None:
 
     counts = {"gc:us": 8}
     peers = [(f"gc:us/{i}", "t4") for i in range(8)]
-    recommended = recommend_target_batch_size(
-        "whisper-small", peers, build_topology(counts),
-        target_granularity=1.0, candidates=(256, 512, 1024, 2048),
-    )
-    print(f"planner's minimum TBS for granularity >= 1: {recommended}")
-
     advice = evaluate_setup("whisper-small", peers, build_topology(counts),
                             target_batch_size=1024)
     for note in advice.notes:

@@ -5,12 +5,7 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     allocator=("FleetEvent", "SpotFleet", "VmSlot"),
-    instances=(
-        "INSTANCE_TYPES",
-        "InstanceType",
-        "get_instance_type",
-        "host_ram_required_gb",
-    ),
+    instances=("INSTANCE_TYPES", "InstanceType", "get_instance_type"),
     pricing=(
         "B2_EGRESS_PER_GB",
         "B2_STORAGE_PER_GB_MONTH",
@@ -19,10 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "egress_price_per_gb",
         "instance_price_per_hour",
     ),
-    spot=(
-        "InterruptionModel",
-        "expected_downtime_fraction",
-        "expected_throughput_penalty",
-    ),
-    spot_market=("SpotPriceModel", "integrate_price_usd", "price_series"),
+    spot=("InterruptionModel",),
+    spot_market=("SpotPriceModel", "integrate_price_usd"),
 )

@@ -119,10 +119,6 @@ class SpotFleet:
         self._listeners.append(listener)
 
     @property
-    def live_count(self) -> int:
-        return sum(1 for slot in self.slots if slot.up)
-
-    @property
     def total_interruptions(self) -> int:
         return sum(slot.interruptions for slot in self.slots)
 
@@ -141,12 +137,6 @@ class SpotFleet:
         for started in up_since.values():
             total_up += max(horizon_s - started, 0.0)
         return total_up / (horizon_s * len(self.slots))
-
-    def hourly_cost(self) -> float:
-        """Aggregate VM cost per hour while all slots are up."""
-        return sum(
-            slot.instance_type.price_per_hour(spot=slot.spot) for slot in self.slots
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -4,30 +4,17 @@ Each :class:`InstanceType` ties together a provider, an accelerator,
 host resources and the pricing-table row used to bill it. The host RAM
 matters: the paper had to use the 30 GB ``n1-standard-8`` template
 because 15 GB was insufficient for gradient application on the CPU with
-the biggest models (Section 4) — :meth:`InstanceType.supports_model`
-enforces exactly that constraint.
+the biggest models (Section 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware import GpuSpec, get_gpu, supports
-from ..models import ModelSpec
+from ..hardware import GpuSpec, get_gpu
 from .pricing import instance_price_per_hour
 
-__all__ = ["InstanceType", "INSTANCE_TYPES", "get_instance_type", "host_ram_required_gb"]
-
-
-def host_ram_required_gb(model: ModelSpec) -> float:
-    """Host memory needed for CPU-side gradient application.
-
-    Hivemind applies accumulated gradients on the CPU; the footprint
-    grows with the parameter count. Fitted so that ConvNextLarge and
-    RoBERTaXLM exceed 15 GB (the paper's failing template) but fit in
-    30 GB (the template the paper settled on).
-    """
-    return 9.0 + 0.032 * model.parameters_m
+__all__ = ["InstanceType", "INSTANCE_TYPES", "get_instance_type"]
 
 
 @dataclass(frozen=True)
@@ -51,12 +38,6 @@ class InstanceType:
         if spot and not self.has_spot:
             spot = False
         return instance_price_per_hour(self.provider, self.price_kind, spot=spot)
-
-    def supports_model(self, model: ModelSpec) -> bool:
-        """Device memory (per the paper's OOM reports) and host RAM."""
-        if not supports(self.gpu_key, model.key):
-            return False
-        return self.ram_gb >= host_ram_required_gb(model)
 
 
 INSTANCE_TYPES: dict[str, InstanceType] = {

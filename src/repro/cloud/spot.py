@@ -11,7 +11,7 @@ factor peaking in the zone's working hours.
 The paper's rule of thumb — "a 5 % interruption frequency over the
 entire training time means roughly a 5 % slower training" — follows
 from this model when re-provisioning is quick, and is checked by the
-``bench_sec7_spot_interruptions`` benchmark.
+``sec7-spot`` validation claims.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "InterruptionModel",
-    "expected_downtime_fraction",
-    "expected_throughput_penalty",
-]
+__all__ = ["InterruptionModel"]
 
 _HOURS_PER_MONTH = 30.0 * 24.0
 
@@ -87,36 +83,3 @@ class InterruptionModel:
             if rng.random() < accept:
                 return t_hours * 3600.0 - start_s
 
-
-def expected_throughput_penalty(
-    downtime_fraction: float,
-) -> float:
-    """Fractional throughput loss given the fraction of peer-time lost.
-
-    The paper's rule (Section 7): "a 5 % interruption frequency over the
-    entire training time means roughly a 5 % slower training". With data
-    parallelism over homogeneous peers, throughput is proportional to
-    the number of live peers, so losing ``f`` of aggregate peer-time
-    loses ``f`` of throughput.
-    """
-    if not 0 <= downtime_fraction <= 1:
-        raise ValueError("downtime_fraction must be in [0, 1]")
-    return downtime_fraction
-
-
-def expected_downtime_fraction(
-    interruption_frequency: float,
-    restart_s: float = 120.0,
-    resync_s: float = 60.0,
-    horizon_s: float = 30 * 24 * 3600.0,
-) -> float:
-    """Fraction of peer-time lost to interruptions over a horizon.
-
-    ``interruption_frequency`` is the AWS-style 30-day termination
-    fraction; each event removes the peer for VM restart plus training
-    state resynchronization (at worst two hivemind epochs, Section 7).
-    """
-    if interruption_frequency <= 0:
-        return 0.0
-    events = interruption_frequency * horizon_s / (30 * 24 * 3600.0)
-    return min(events * (restart_s + resync_s) / horizon_s, 1.0)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SpotPriceModel", "integrate_price_usd", "price_series"]
+__all__ = ["SpotPriceModel", "integrate_price_usd"]
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,3 @@ def integrate_price_usd(
             t += step
     return total
 
-
-def price_series(
-    model: SpotPriceModel,
-    start_s: float,
-    end_s: float,
-    step_s: float = 3600.0,
-) -> list[tuple[float, float]]:
-    """(time, price) samples over a window — one per billing hour."""
-    if end_s <= start_s or step_s <= 0:
-        raise ValueError("need end > start and step > 0")
-    times = np.arange(start_s, end_s, step_s)
-    return [(float(t), model.price_at(float(t))) for t in times]

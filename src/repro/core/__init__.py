@@ -21,14 +21,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
     granularity=(
         "best_speedup_when_doubling",
         "granularity",
-        "peers_needed_for_speedup",
         "per_gpu_contribution",
         "speedup_from_scaling",
     ),
-    planner=(
-        "Advice",
-        "MIN_USEFUL_GRANULARITY",
-        "evaluate_setup",
-        "recommend_target_batch_size",
-    ),
+    planner=("Advice", "MIN_USEFUL_GRANULARITY", "evaluate_setup"),
 )

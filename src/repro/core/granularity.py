@@ -21,7 +21,6 @@ __all__ = [
     "granularity",
     "speedup_from_scaling",
     "best_speedup_when_doubling",
-    "peers_needed_for_speedup",
     "per_gpu_contribution",
 ]
 
@@ -55,21 +54,6 @@ def speedup_from_scaling(granularity_value: float, scale_factor: float) -> float
 def best_speedup_when_doubling(granularity_value: float) -> float:
     """The paper's rule of thumb (Section 8): 1.33x at g=1, 1.83x at g=10."""
     return speedup_from_scaling(granularity_value, 2.0)
-
-
-def peers_needed_for_speedup(
-    granularity_value: float, target_speedup: float
-) -> float:
-    """Scale factor needed to reach a target speedup (inverse of the
-    scaling law); ``inf`` when the target exceeds the ``g+1`` ceiling."""
-    if target_speedup < 1:
-        raise ValueError("target_speedup must be >= 1")
-    g = granularity_value
-    ceiling = g + 1.0
-    if target_speedup >= ceiling:
-        return float("inf")
-    # Solve (g+1)/(g/k + 1) = s for k.
-    return g * target_speedup / (g + 1.0 - target_speedup)
 
 
 def per_gpu_contribution(speedup: float, num_gpus: int) -> float:

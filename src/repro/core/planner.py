@@ -22,7 +22,7 @@ from ..network import Topology
 from .analytical import Prediction, predict
 from .granularity import best_speedup_when_doubling
 
-__all__ = ["Advice", "evaluate_setup", "recommend_target_batch_size"]
+__all__ = ["Advice", "evaluate_setup"]
 
 #: Below this granularity the paper considers the task no longer
 #: suitable for distributed training (C-8 NLP sat at 0.4 and stopped
@@ -40,10 +40,6 @@ class Advice:
     hourly_vm_usd: float
     hourly_egress_usd_estimate: float
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def egress_dominates(self) -> bool:
-        return self.hourly_egress_usd_estimate > self.hourly_vm_usd
 
 
 def _estimate_hourly_egress(
@@ -148,19 +144,3 @@ def evaluate_setup(
         notes=notes,
     )
 
-
-def recommend_target_batch_size(
-    model_key: str,
-    peers: list[tuple[str, str]],
-    topology: Topology,
-    target_granularity: float = 4.0,
-    candidates: tuple[int, ...] = (8192, 16384, 32768, 65536),
-) -> int:
-    """Smallest candidate TBS whose predicted granularity reaches the
-    target; falls back to the largest candidate (the LAMB practical
-    limit of 64K, Section 3)."""
-    for tbs in sorted(candidates):
-        prediction = predict(model_key, peers, topology, tbs)
-        if prediction.granularity >= target_granularity:
-            return tbs
-    return max(candidates)

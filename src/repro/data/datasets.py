@@ -33,10 +33,6 @@ class DatasetSpec:
     def total_gb(self) -> float:
         return self.total_bytes / 1e9
 
-    def monthly_storage_cost(self, price_per_gb_month: float = 0.005) -> float:
-        """Backblaze B2 storage bill for hosting the dataset."""
-        return self.total_gb * price_per_gb_month
-
 
 DATASETS: dict[str, DatasetSpec] = {
     spec.key: spec

@@ -86,13 +86,6 @@ class SweepResult:
     def rows(self) -> list[dict]:
         return [result.row() for result in self.results]
 
-    def best_by(self, column: str, minimize: bool = True) -> dict:
-        rows = [row for row in self.rows() if row.get(column) is not None]
-        if not rows:
-            raise ValueError(f"no rows carry column {column!r}")
-        chooser = min if minimize else max
-        return chooser(rows, key=lambda row: row[column])
-
     def to_csv(self, path: str | Path) -> Path:
         path = Path(path)
         rows = self.rows()

@@ -13,10 +13,7 @@ Implemented strategies:
   pattern Hivemind uses inside one averaging group;
 * :func:`hierarchical_all_reduce` — regional groups reduce internally,
   exchange aggregates via a hub group, and broadcast back (the Moshpit
-  pattern the paper reconstructs from its egress measurements);
-* :func:`gossip_average` — repeated pairwise averaging (decentralized
-  SGD style, Lian et al.), converging to the same mean — included to
-  contrast convergence speed with the exact schemes.
+  pattern the paper reconstructs from its egress measurements).
 
 Each function returns per-peer results plus a transcript of
 ``(src, dst, nbytes)`` transfers, which the tests reconcile against the
@@ -26,7 +23,7 @@ closed-form byte counts used by the cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +31,6 @@ __all__ = [
     "Transcript",
     "butterfly_all_reduce",
     "hierarchical_all_reduce",
-    "gossip_average",
 ]
 
 
@@ -50,10 +46,6 @@ class Transcript:
     @property
     def total_bytes(self) -> float:
         return sum(nbytes for __, __, nbytes in self.transfers)
-
-    def egress_of(self, peer: int) -> float:
-        return sum(nbytes for src, __, nbytes in self.transfers
-                   if src == peer)
 
 
 def _chunks(size: int, parts: int) -> list[slice]:
@@ -160,33 +152,3 @@ def hierarchical_all_reduce(
             results[member] = global_sum.copy()
     return results, transcript
 
-
-def gossip_average(
-    vectors: Sequence[np.ndarray],
-    rounds: int,
-    rng: Optional[np.random.Generator] = None,
-    bytes_per_value: float = 2.0,
-) -> tuple[list[np.ndarray], Transcript]:
-    """Randomized pairwise averaging (decentralized SGD flavour).
-
-    Each round pairs peers at random; every pair replaces both vectors
-    with their mean. Converges geometrically to the global average but
-    never reaches it exactly — the contrast to the exact schemes above.
-    """
-    n = len(vectors)
-    if n == 0:
-        raise ValueError("need at least one vector")
-    rng = rng or np.random.default_rng(0)
-    state = [vector.astype(np.float64).copy() for vector in vectors]
-    transcript = Transcript()
-    nbytes = state[0].size * bytes_per_value
-    for __ in range(rounds):
-        order = rng.permutation(n)
-        for k in range(0, n - 1, 2):
-            a, b = int(order[k]), int(order[k + 1])
-            transcript.send(a, b, nbytes)
-            transcript.send(b, a, nbytes)
-            mean = (state[a] + state[b]) / 2.0
-            state[a] = mean.copy()
-            state[b] = mean.copy()
-    return state, transcript

@@ -48,16 +48,6 @@ class GroupPlan:
     def hub(self) -> tuple[str, ...]:
         return self.groups[self.hub_index]
 
-    @property
-    def n_peers(self) -> int:
-        return sum(len(group) for group in self.groups)
-
-    def group_of(self, site: str) -> int:
-        for index, group in enumerate(self.groups):
-            if site in group:
-                return index
-        raise KeyError(f"{site!r} not in plan")
-
 
 def form_groups(topology: Topology, sites: list[str]) -> GroupPlan:
     """Group peers by region; pick the best-connected region as hub.

@@ -77,15 +77,6 @@ class TrainingMonitor:
         except Interrupt:
             return self.samples
 
-    @property
-    def observed_epochs(self) -> list[int]:
-        return sorted({s.epoch for s in self.samples if s.epoch is not None})
-
-    @property
-    def max_live_peers(self) -> int:
-        live = [s.live_peers for s in self.samples if s.live_peers is not None]
-        return max(live) if live else 0
-
     def gaps(self, min_gap_s: float = 0.0) -> list[tuple[float, float]]:
         """Scrape intervals during which training made no progress.
 

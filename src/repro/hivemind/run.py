@@ -278,9 +278,6 @@ class RunResult:
             return 0.0
         return self.total_samples / calc
 
-    def speedup_over(self, baseline_sps: float) -> float:
-        return self.throughput_sps / baseline_sps
-
     def average_egress_rate_bps(self) -> float:
         """Mean per-site averaging egress rate over the whole run."""
         if self.duration_s <= 0 or not self.egress_bytes_by_site:

@@ -7,12 +7,13 @@ by three kinds of resources:
 * the destination NIC (ingress),
 * the path capacity between the two sites,
 
-plus a per-flow ceiling from the TCP model: ``streams × window/RTT``
-(and optionally an application-level per-stream cap, used to model
-Hivemind's ~1.1 Gb/s serialization limit). Rates are assigned by
-progressive filling (max-min fairness) and recomputed whenever a flow
-starts or finishes, which is the standard fluid approximation for TCP
-fair sharing.
+plus a per-flow ceiling from the TCP model: ``streams × window/RTT``.
+A budget several flows share, such as a VM's serialization rate
+(Hivemind's ~1.1 Gb/s per VM), is a named channel
+(:meth:`Fabric.define_channel`) that those flows cross as one more
+resource. Rates are assigned by progressive filling (max-min fairness)
+and recomputed whenever a flow starts or finishes, which is the
+standard fluid approximation for TCP fair sharing.
 
 Rebalancing is incremental: resource membership is maintained as flows
 start and finish (rather than rebuilt from every active flow), and all
@@ -90,10 +91,9 @@ delivery time is fixed when it is sent: one-way propagation plus
 ``nbytes·8`` over the slowest of the route's single-stream ceiling and
 its resources' capacities. It is one kernel queue entry at that time,
 like a :class:`Timeout`, and never joins the active set or the fill, so
-it takes no bandwidth from flows, a fault that lands while it is in
-flight does not retime it, and it draws nothing from the jitter
-generator. :meth:`Message.cancel` withdraws it before delivery (a
-timed-out RPC); that is not an abort.
+it takes no bandwidth from flows and a fault that lands while it is in
+flight does not retime it. :meth:`Message.cancel` withdraws it before
+delivery (a timed-out RPC); that is not an abort.
 
 Every completed transfer and delivered message is recorded in a
 :class:`TrafficMeter` so the cost model can later price egress per
@@ -109,8 +109,6 @@ from collections import defaultdict
 from functools import partial
 from typing import Any, Optional
 
-import numpy as np
-
 from ..simulation import Environment, Event
 from ..simulation.engine import _PENDING
 from ..telemetry import NULL_TELEMETRY
@@ -120,6 +118,11 @@ from .topology import Site, Topology, classify_traffic
 __all__ = ["Fabric", "Flow", "Message", "TrafficMeter", "TransferAborted"]
 
 _EPS = 1e-9
+
+#: Flows below this many bytes are metered (all counters still fire)
+#: but get no per-flow span: small control payloads are spanned at the
+#: protocol layer that sends them. Messages never open one.
+TRACE_MIN_BYTES = 4096.0
 
 
 class TransferAborted(Exception):
@@ -242,9 +245,8 @@ class Message(Event):
     kernel queue entry, at its delivery time (none on a route without
     capacity, where it is never delivered). When that entry fires,
     the fabric meters the bytes and then the waiters run. It never
-    joins the active set or the max-min fill, draws nothing from the
-    jitter generator and opens no span. :meth:`cancel` withdraws it
-    before delivery.
+    joins the active set or the max-min fill and opens no span.
+    :meth:`cancel` withdraws it before delivery.
     """
 
     __slots__ = ("fabric", "src", "dst", "nbytes", "tag", "started_s", "cancelled")
@@ -381,11 +383,7 @@ class Fabric:
         self,
         env: Environment,
         topology: Topology,
-        stream_cap_bps: Optional[float] = None,
-        jitter: float = 0.0,
-        rng=None,
         telemetry=None,
-        trace_min_bytes: float = 4096.0,
     ):
         self.env = env
         self.topology = topology
@@ -394,11 +392,6 @@ class Fabric:
         #: finish are the busiest instrumented call sites, so they skip
         #: the facade passthrough.
         self._tracer = self.telemetry.tracer if self.telemetry.enabled else None
-        #: Flows below this size are metered (all counters still fire)
-        #: but get no per-flow span: small control payloads are spanned
-        #: at the protocol layer that sends them. Messages never open
-        #: one.
-        self.trace_min_bytes = trace_min_bytes
         self._bytes_counter = self.telemetry.counter(
             "transfer_bytes_total",
             "Bytes delivered by the fabric, by traffic class and tag",
@@ -410,14 +403,6 @@ class Fabric:
             "flow_duration_seconds",
             "Wall time of each fabric transfer (request to last byte)",
         )
-        self._stream_cap_bps = stream_cap_bps
-        #: Lognormal sigma applied to each flow's ceiling — the "wide
-        #: variation, likely due to network utilization" the paper saw
-        #: in its microbenchmarks. 0 disables jitter.
-        if jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        self.jitter = jitter
-        self._rng = rng
         self.meter = TrafficMeter()
         # Per-label-set metric children and interned track names: flow
         # completion runs once per transfer, so everything resolvable
@@ -443,9 +428,8 @@ class Fabric:
         self._resources: dict[str, _ResourceState] = {}
         self._topology_version = topology._version
         #: Per-(src, dst, channels) route cache: (src_site, dst_site,
-        #: path, propagation_s, states, ceiling for one stream under the
-        #: fabric's cap). A topology change drops the routes over the
-        #: pairs it changed; setting ``stream_cap_bps`` drops them all.
+        #: path, propagation_s, states, ceiling for one stream). A
+        #: topology change drops the routes over the pairs it changed.
         self._rid_cache: dict[tuple, tuple] = {}
         #: The keys of the cached routes over each site pair, under the
         #: pair's ``path:`` resource id (loopback pairs included). Built
@@ -467,19 +451,6 @@ class Fabric:
             "transfer_aborts_total", "Fabric transfers cancelled mid-flight"
         )
 
-    @property
-    def stream_cap_bps(self) -> Optional[float]:
-        """Application-level per-stream throughput cap (bits/s); models
-        serialization/CPU bottlenecks on top of TCP. ``None`` = no cap.
-        Setting it drops the route cache, whose ceilings assume it."""
-        return self._stream_cap_bps
-
-    @stream_cap_bps.setter
-    def stream_cap_bps(self, value: Optional[float]) -> None:
-        self._stream_cap_bps = value
-        self._rid_cache.clear()
-        self._pair_routes = None
-
     def define_channel(self, name: str, capacity_bps: float) -> None:
         """Register a shared application channel (e.g. a per-VM
         serialization budget that all averaging flows of that VM share)."""
@@ -498,7 +469,6 @@ class Fabric:
         dst: str,
         nbytes: float,
         streams: int = 1,
-        stream_cap_bps: Optional[float] = None,
         tag: Optional[str] = None,
         channels: tuple[str, ...] = (),
     ) -> Flow:
@@ -513,21 +483,15 @@ class Fabric:
         src_site, dst_site, path, propagation, states, ceiling = self._route(
             src, dst, channels
         )
-        if streams != 1 or stream_cap_bps is not None:
-            if stream_cap_bps is None:
-                stream_cap_bps = self.stream_cap_bps
-            ceiling = effective_ceiling_bps(path, streams, stream_cap_bps)
-        if self.jitter > 0:
-            if self._rng is None:
-                self._rng = np.random.default_rng(0)
-            ceiling *= float(np.exp(self._rng.normal(0.0, self.jitter)))
+        if streams != 1:
+            ceiling = effective_ceiling_bps(path, streams)
         env = self.env
         total = float(nbytes)
         flow = Flow(
             self, next(self._flow_ids), src_site, dst_site, total, ceiling,
             tag, env._now, states,
         )
-        if self._tracer is not None and nbytes >= self.trace_min_bytes:
+        if self._tracer is not None and nbytes >= TRACE_MIN_BYTES:
             track = self._track_names.get(src_site.name)
             if track is None:
                 track = self._track_names[src_site.name] = f"net:{src_site.name}"
@@ -634,14 +598,10 @@ class Fabric:
             if state is None:
                 state = self._states[rid] = _ResourceState(capacity, rid)
             states.append(state)
-        # effective_ceiling_bps(path, 1, cap), without hashing the path.
-        ceiling = path.single_stream_bps
-        cap = self.stream_cap_bps
-        if cap is not None and cap < ceiling:
-            ceiling = cap
         key = (src, dst, channels)
         entry = self._rid_cache[key] = (
-            src_site, dst_site, path, path.rtt_s / 2.0, tuple(states), ceiling
+            src_site, dst_site, path, path.rtt_s / 2.0, tuple(states),
+            path.single_stream_bps,
         )
         if self._pair_routes is not None:
             self._pair_routes.setdefault(pair, []).append(key)
@@ -669,10 +629,6 @@ class Fabric:
         for state in self._resources.values():
             state.members.clear()
         self._resources.clear()
-
-    def ping_s(self, a: str, b: str) -> float:
-        """ICMP-style round-trip time between two sites, in seconds."""
-        return self.topology.rtt_s(a, b)
 
     @property
     def active_flows(self) -> int:

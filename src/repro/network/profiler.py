@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..simulation import Environment
 from .fabric import Fabric
-from .topology import GBPS, MBPS, Topology
+from .topology import GBPS, Topology
 
 __all__ = ["measure_bandwidth_bps", "measure_rtt_s", "profile_matrix", "ProfileResult"]
 
@@ -25,12 +25,6 @@ class ProfileResult:
     locations: tuple[str, ...]
     bandwidth_bps: dict[tuple[str, str], float]
     rtt_s: dict[tuple[str, str], float]
-
-    def bandwidth_gbps(self, a: str, b: str) -> float:
-        return self.bandwidth_bps[(a, b)] / GBPS
-
-    def bandwidth_mbps(self, a: str, b: str) -> float:
-        return self.bandwidth_bps[(a, b)] / MBPS
 
     def rtt_ms(self, a: str, b: str) -> float:
         return self.rtt_s[(a, b)] * 1e3

@@ -11,8 +11,6 @@ multi-stream microbenchmark.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .topology import PathSpec
 
 __all__ = [
@@ -42,30 +40,16 @@ def multi_stream_bps(path: PathSpec, streams: int) -> float:
     return min(path.capacity_bps, streams * per_stream)
 
 
-@lru_cache(maxsize=4096)
-def effective_ceiling_bps(
-    path: PathSpec,
-    streams: int = 1,
-    stream_cap_bps: float | None = None,
-) -> float:
+def effective_ceiling_bps(path: PathSpec, streams: int = 1) -> float:
     """Aggregate rate ceiling of a transfer over ``path``.
 
-    Memoised: a pure function of the (frozen) path spec and two
-    scalars, called by each fabric transfer that asks for more streams
-    or its own cap (a route's one-stream ceiling is worked out when the
-    route is resolved), with only a handful of distinct argument
-    combinations per topology.
-
     Each of the ``streams`` parallel TCP streams is limited by
-    ``window/RTT`` and, when given, by an application-level per-stream
-    cap (Hivemind's ~1.1 Gb/s serialization budget). This is the
-    per-flow ceiling the fabric feeds into max-min fair sharing; the
-    shared path/NIC capacities are enforced there, not here.
+    ``window/RTT``. This is the per-flow ceiling the fabric feeds into
+    max-min fair sharing; the shared path/NIC capacities, and budgets
+    several flows share such as a VM's serialization rate (fabric
+    channels), are enforced there, not here.
     """
-    per_stream = path.single_stream_bps
-    if stream_cap_bps is not None:
-        per_stream = min(per_stream, stream_cap_bps)
-    return max(streams, 1) * per_stream
+    return max(streams, 1) * path.single_stream_bps
 
 
 def stream_count_for_capacity(path: PathSpec) -> int:

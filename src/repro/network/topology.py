@@ -170,14 +170,18 @@ class Topology:
         rtt_s: Optional[float] = None,
         window_bytes: Optional[float] = None,
     ) -> None:
-        """Override path properties between two sites (symmetric)."""
-        default = self._default_path(self.sites[a], self.sites[b])
+        """Override path properties between two sites (symmetric).
+
+        A field left as ``None`` keeps the pair's current value: its
+        earlier override, or its default when it has none.
+        """
+        current = self.path(a, b)
         self._overrides[frozenset((a, b))] = PathSpec(
             capacity_bps=capacity_bps
-            if capacity_bps is not None else default.capacity_bps,
-            rtt_s=rtt_s if rtt_s is not None else default.rtt_s,
+            if capacity_bps is not None else current.capacity_bps,
+            rtt_s=rtt_s if rtt_s is not None else current.rtt_s,
             window_bytes=window_bytes
-            if window_bytes is not None else default.window_bytes,
+            if window_bytes is not None else current.window_bytes,
         )
         # A pair's path depends only on its own override or default.
         self._path_cache.pop((a, b), None)

@@ -283,7 +283,6 @@ class Process(Event):
         self.env._queue_event(interrupt_event)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -302,7 +301,6 @@ class Process(Event):
                     tel.on_process_finish(self, ok=True)
                 else:
                     tel.processes_finished += 1
-            self.env._active_process = None
             return
         except BaseException as error:
             self._ok = False
@@ -316,10 +314,7 @@ class Process(Event):
                 else:
                     tel.processes_finished += 1
                     tel.processes_failed += 1
-            self.env._active_process = None
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -432,7 +427,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event | _Call]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Processes that have not finished, in creation order.
         self._processes: dict[Process, None] = {}
         #: Optional telemetry sink (duck-typed; see module docstring).
@@ -447,10 +441,6 @@ class Environment:
     @property
     def telemetry(self):
         return self._telemetry
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     @property
     def events_scheduled(self) -> int:

@@ -1,8 +1,8 @@
 """Seeded random-number streams for reproducible simulations.
 
-Every stochastic component (spot interruptions, network jitter, workload
-shuffling) draws from its own named stream so that adding randomness to
-one subsystem never perturbs another. Streams are derived from a single
+Every stochastic component (spot interruptions, matchmaking delays)
+draws from its own named stream so that adding randomness to one
+subsystem never perturbs another. Streams are derived from a single
 base seed via :class:`numpy.random.SeedSequence` spawning, which is the
 recommended way to build independent generators.
 """

@@ -236,17 +236,6 @@ class Histogram(_Metric):
         series = self._series.get(_label_key(labels))
         return series.sum if series is not None else 0.0
 
-    def cumulative_counts(self, **labels: object) -> list[int]:
-        """Cumulative count per bucket bound, then ``+Inf``."""
-        series = self._series.get(_label_key(labels))
-        if series is None:
-            return [0] * (len(self.buckets) + 1)
-        out, running = [], 0
-        for count in series.bucket_counts:
-            running += count
-            out.append(running)
-        return out
-
     def series(self, **labels: object) -> Optional[_HistogramSeries]:
         return self._series.get(_label_key(labels))
 

@@ -112,20 +112,6 @@ class Telemetry:
         extra = getattr(env, "events_scheduled", 0) if env is not None else 0
         return self._events_before + extra
 
-    def on_event_scheduled(self, queue_depth: int) -> None:
-        """Equivalent of the kernel's inline tally updates.
-
-        The :class:`~repro.simulation.Environment` updates
-        :attr:`queue_depth_high_water` directly and lets
-        :attr:`events_scheduled` fall out of its own count of queue entries
-        (one method call per scheduled event is the single biggest
-        tracing cost); this method exists for alternative kernels that
-        prefer the call-based protocol.
-        """
-        self._events_before += 1
-        if queue_depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = queue_depth
-
     def on_process_spawn(self, process) -> None:
         self.processes_spawned += 1
         if self.capture_processes:

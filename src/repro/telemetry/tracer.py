@@ -136,10 +136,6 @@ class Tracer:
     def now(self) -> float:
         return self._clock()
 
-    @property
-    def run_index(self) -> int:
-        return self._run
-
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, category: str = "", track: str = "main",
@@ -208,9 +204,6 @@ class Tracer:
         for event in self.instants:
             seen.setdefault((event.run, event.track))
         return list(seen)
-
-    def spans_on(self, track: str) -> list[Span]:
-        return [span for span in self.spans if span.track == track]
 
     def by_category(self, category: str) -> list[Span]:
         return [span for span in self.spans if span.category == category]

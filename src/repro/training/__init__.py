@@ -4,7 +4,7 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
-    autograd=("Tensor", "no_grad"),
+    autograd=("Tensor",),
     layers=("MLP", "Linear", "Module", "ReLU", "Sequential"),
     losses=("cross_entropy",),
     optimizers=("LAMB", "SGD", "Optimizer"),

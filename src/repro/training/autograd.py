@@ -1,9 +1,9 @@
 """A small reverse-mode automatic differentiation engine on numpy.
 
 This is the numerical heart of the training substrate: enough autograd
-to train MLPs / logistic regression / embedding models so that the
-decentralized averaging experiments operate on *real gradients* rather
-than placeholder byte blobs. Supports broadcasting, matmul, elementwise
+to train MLPs and logistic regression so that the decentralized
+averaging experiments operate on *real gradients* rather than
+placeholder byte blobs. Supports broadcasting, matmul, elementwise
 nonlinearities and reductions.
 """
 
@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad"]
+__all__ = ["Tensor"]
 
 ArrayLike = Union[np.ndarray, float, int, list]
 
@@ -33,24 +33,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class _NoGrad:
-    """Context manager disabling graph construction."""
-
-    _active = False
-
-    def __enter__(self):
-        self._previous = _NoGrad._active
-        _NoGrad._active = True
-        return self
-
-    def __exit__(self, *exc_info):
-        _NoGrad._active = self._previous
-
-
-def no_grad() -> _NoGrad:
-    return _NoGrad()
-
-
 class Tensor:
     """An array with an optional gradient and a backward closure."""
 
@@ -66,7 +48,7 @@ class Tensor:
     ):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and not _NoGrad._active
+        self.requires_grad = requires_grad
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -75,17 +57,6 @@ class Tensor:
     @staticmethod
     def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(
-        *shape: int,
-        rng: Optional[np.random.Generator] = None,
-        scale: float = 1.0,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.normal(0.0, scale, size=shape),
-                      requires_grad=requires_grad)
 
     # -- basic protocol -----------------------------------------------------
 
@@ -103,9 +74,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -209,15 +177,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
 
@@ -261,28 +220,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad.reshape(self.shape))
-
-        return self._make(out_data, (self,), backward)
-
-    def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return self._make(out_data, (self,), backward)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row lookup (the embedding primitive): output[i] = self[idx[i]]."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
 
         return self._make(out_data, (self,), backward)
 

@@ -40,19 +40,6 @@ class Module:
             return np.zeros(0)
         return np.concatenate([p.data.ravel() for p in self.parameters()])
 
-    def load_state_vector(self, vector: np.ndarray) -> None:
-        offset = 0
-        for parameter in self.parameters():
-            count = parameter.size
-            parameter.data = vector[offset:offset + count].reshape(
-                parameter.shape
-            ).copy()
-            offset += count
-        if offset != vector.size:
-            raise ValueError(
-                f"state vector length {vector.size} != parameter count {offset}"
-            )
-
     def grad_vector(self) -> np.ndarray:
         """All gradients flattened; zeros where a parameter has none."""
         chunks = []

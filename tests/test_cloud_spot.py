@@ -6,11 +6,13 @@ import pytest
 from repro.cloud import (
     InterruptionModel,
     SpotFleet,
-    expected_downtime_fraction,
-    expected_throughput_penalty,
     get_instance_type,
 )
 from repro.simulation import Environment
+
+
+def live_count(fleet):
+    return sum(1 for slot in fleet.slots if slot.up)
 
 
 class TestInterruptionModel:
@@ -63,25 +65,6 @@ class TestInterruptionModel:
         assert a == b
 
 
-class TestPenaltyRule:
-    def test_penalty_is_identity_on_downtime(self):
-        """Paper: x% interruption frequency means roughly x% slower."""
-        assert expected_throughput_penalty(0.05) == 0.05
-        assert expected_throughput_penalty(0.0) == 0.0
-
-    def test_penalty_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            expected_throughput_penalty(1.5)
-
-    def test_downtime_fraction_scales_with_frequency(self):
-        low = expected_downtime_fraction(0.05)
-        high = expected_downtime_fraction(0.20)
-        assert high == pytest.approx(4 * low)
-
-    def test_downtime_fraction_zero_for_no_interruptions(self):
-        assert expected_downtime_fraction(0.0) == 0.0
-
-
 class TestSpotFleet:
     def _fleet(self, env, monthly_rate, n=4, seed=1):
         itype = get_instance_type("gc-t4")
@@ -98,7 +81,7 @@ class TestSpotFleet:
         env = Environment()
         fleet = self._fleet(env, monthly_rate=0.0)
         env.run(until=1.0)
-        assert fleet.live_count == 4
+        assert live_count(fleet) == 4
         assert fleet.uptime_fraction(1.0) == pytest.approx(1.0)
 
     def test_no_interruptions_without_model(self):
@@ -114,7 +97,7 @@ class TestSpotFleet:
         env.run(until=30 * 24 * 3600.0)
         assert fleet.total_interruptions > 0
         # Replacement brings slots back up: final state is mostly alive.
-        assert fleet.live_count >= 3
+        assert live_count(fleet) >= 3
 
     def test_uptime_fraction_between_zero_and_one(self):
         env = Environment()
@@ -134,11 +117,6 @@ class TestSpotFleet:
         downs = [e for e in seen if not e.up]
         assert len(downs) >= 1
         assert len(ups) >= 4 + len(downs) - 1
-
-    def test_hourly_cost_sums_slot_prices(self):
-        env = Environment()
-        fleet = self._fleet(env, monthly_rate=0.0)
-        assert fleet.hourly_cost() == pytest.approx(4 * 0.180)
 
 
 class TestForcedPreemption:
@@ -165,11 +143,11 @@ class TestForcedPreemption:
 
         env.process(chaos())
         env.run(until=11.0)
-        assert fleet.live_count == 3
+        assert live_count(fleet) == 3
         assert fleet.forced_interruptions == 1
         assert fleet.total_interruptions == 1
         env.run(until=100.0)
-        assert fleet.live_count == 4  # replacement booted after startup_s
+        assert live_count(fleet) == 4  # replacement booted after startup_s
 
     def test_preempt_without_allow_forced_is_noop(self):
         env = Environment()
@@ -181,7 +159,7 @@ class TestForcedPreemption:
         env.run(until=10.0)
         assert fleet.preempt("gc:us/0") == 0
         env.run(until=20.0)
-        assert fleet.live_count == 1
+        assert live_count(fleet) == 1
 
     def test_full_zone_cascade_takes_down_every_slot(self):
         env = Environment()
@@ -193,10 +171,10 @@ class TestForcedPreemption:
 
         env.process(chaos())
         env.run(until=11.0)
-        assert fleet.live_count == 0
+        assert live_count(fleet) == 0
         assert fleet.forced_interruptions == 4
         env.run(until=100.0)
-        assert fleet.live_count == 4
+        assert live_count(fleet) == 4
 
     def test_zero_correlation_never_cascades(self):
         env = Environment()
@@ -208,32 +186,8 @@ class TestForcedPreemption:
 
         env.process(chaos())
         env.run(until=11.0)
-        assert fleet.live_count == 3
+        assert live_count(fleet) == 3
         assert fleet.forced_interruptions == 1
-
-
-def test_instance_catalog_host_ram_rule():
-    from repro.cloud import host_ram_required_gb
-    from repro.models import get_model
-
-    small = get_instance_type("gc-t4-small")
-    big = get_instance_type("gc-t4")
-    conv, rxlm, rn18 = (get_model(k) for k in ("conv", "rxlm", "rn18"))
-    # Section 4: 15 GB insufficient for the biggest models, 30 GB ok.
-    assert not small.supports_model(conv)
-    assert not small.supports_model(rxlm)
-    assert small.supports_model(rn18)
-    assert big.supports_model(conv)
-    assert big.supports_model(rxlm)
-    assert host_ram_required_gb(rxlm) < 30.0
-
-
-def test_4xt4_instance_rejects_nlp():
-    from repro.models import get_model
-
-    node = get_instance_type("gc-4xt4")
-    assert not node.supports_model(get_model("rxlm"))
-    assert node.supports_model(get_model("conv"))
 
 
 def test_lambda_has_no_spot_tier():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core import (
     best_speedup_when_doubling,
     granularity,
-    peers_needed_for_speedup,
     per_gpu_contribution,
     speedup_from_scaling,
 )
@@ -59,21 +58,6 @@ class TestScalingLaw:
     def test_property_monotone_in_scale(self, g):
         assert (speedup_from_scaling(g, 2.0)
                 <= speedup_from_scaling(g, 4.0) + 1e-12)
-
-
-class TestInverseLaw:
-    def test_roundtrip_with_speedup(self):
-        g = 5.0
-        k = peers_needed_for_speedup(g, 2.0)
-        assert speedup_from_scaling(g, k) == pytest.approx(2.0)
-
-    def test_unreachable_target(self):
-        # Ceiling is g+1: a 3x speedup at granularity 1 is impossible.
-        assert peers_needed_for_speedup(1.0, 3.0) == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            peers_needed_for_speedup(1.0, 0.5)
 
 
 class TestPerGpuContribution:

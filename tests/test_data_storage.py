@@ -63,6 +63,3 @@ class TestDatasetSpecs:
         """Section 5: images are much larger than text."""
         assert (get_dataset("imagenet1k").bytes_per_sample
                 > 3 * get_dataset("wikipedia").bytes_per_sample)
-
-    def test_storage_cost_positive(self):
-        assert get_dataset("imagenet1k").monthly_storage_cost() > 0

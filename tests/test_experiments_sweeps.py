@@ -39,18 +39,6 @@ class TestRunSweep:
         assert len(rows) == 4
         assert {"experiment", "model", "sps", "granularity"} <= set(rows[0])
 
-    def test_best_by(self, sweep):
-        fastest = sweep.best_by("sps", minimize=False)
-        assert fastest["experiment"] == "A-4"
-        cheapest = sweep.best_by("usd_per_1m")
-        assert cheapest["usd_per_1m"] <= min(
-            row["usd_per_1m"] for row in sweep.rows()
-        )
-
-    def test_best_by_missing_column(self, sweep):
-        with pytest.raises(ValueError):
-            sweep.best_by("nonexistent")
-
     def test_csv_and_json_export(self, sweep, tmp_path):
         csv_path = sweep.to_csv(tmp_path / "sweep.csv")
         assert csv_path.exists()

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.network import Fabric, GBPS, MBPS, Site, Topology
 from repro.network.fabric import _EPS, _ResourceState
-from repro.network.tcp import effective_ceiling_bps
 from repro.simulation import Environment
 
 
@@ -323,7 +322,6 @@ change_op = st.tuples(
     st.booleans(),
 )
 advance_op = st.tuples(st.just("advance"), st.sampled_from([0.0, 0.001, 0.05, 3.0]))
-cap_op = st.tuples(st.just("cap"), st.sampled_from([None, 200 * MBPS, 500 * MBPS]))
 
 
 def region_topology():
@@ -346,14 +344,14 @@ def assert_routes_match_fresh(fabric):
     of the topology, and every state holds its rid-derived capacity."""
     topology = copy.deepcopy(fabric.topology)
     topology._path_cache.clear()  # resolve every pair from scratch
-    fresh = Fabric(Environment(), topology, stream_cap_bps=fabric.stream_cap_bps)
+    fresh = Fabric(Environment(), topology)
     for name, capacity in fabric._channel_caps.items():
         fresh.define_channel(name, capacity)
     for key, entry in fabric._rid_cache.items():
         expected = fresh._resolve_transfer(*key)
         assert entry[:4] + entry[5:] == expected[:4] + expected[5:], key
         assert [s.rid for s in entry[4]] == [s.rid for s in expected[4]], key
-        assert entry[5] == effective_ceiling_bps(entry[2], 1, fabric.stream_cap_bps)
+        assert entry[5] == entry[2].single_stream_bps
         assert all(fabric._states[s.rid] is s for s in entry[4])
     for rid, state in fabric._states.items():
         assert state.capacity == resource_capacity(fresh, rid), rid
@@ -363,16 +361,16 @@ def assert_routes_match_fresh(fabric):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(st.one_of(transfer_op, change_op, advance_op, cap_op),
+@given(ops=st.lists(st.one_of(transfer_op, change_op, advance_op),
                     min_size=1, max_size=30))
 # A bare set_path lowers a live flow's path; the next transfer catches
-# it up and must refill, or the flow keeps its old 500 Mb/s rate.
+# it up and must refill, or the flow keeps its old rate.
 @example(ops=[("transfer", "a", "b", 5e8, ()), ("advance", 0.05),
               ("change", "a", "b", 50 * MBPS, None, False)])
 def test_targeted_invalidation_matches_fresh_resolution(ops):
     topo = region_topology()
     env = Environment()
-    fabric = Fabric(env, topo, stream_cap_bps=500 * MBPS)
+    fabric = Fabric(env, topo)
     fabric.define_channel("c0", 300 * MBPS)
     fabric.define_channel("c1", 800 * MBPS)
     snapshot: dict = {}
@@ -392,9 +390,6 @@ def test_targeted_invalidation_matches_fresh_resolution(ops):
                 fabric.on_topology_change()
                 env.run(until=env.now)  # the deferred refill catches up
                 assert fabric._topology_version == topo._version
-        elif op[0] == "cap":
-            fabric.stream_cap_bps = op[1]
-            snapshot = {}  # every route's ceiling assumed the old cap
         else:
             env.run(until=env.now + op[1])
         if fabric._topology_version != topo._version:

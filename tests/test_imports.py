@@ -27,10 +27,8 @@ PUBLIC_NAMES = {
     "repro.cloud": """
         B2_EGRESS_PER_GB B2_STORAGE_PER_GB_MONTH FleetEvent INSTANCE_TYPES
         InstanceType InterruptionModel PRICING ProviderPricing SpotFleet
-        SpotPriceModel VmSlot egress_price_per_gb
-        expected_downtime_fraction expected_throughput_penalty
-        get_instance_type host_ram_required_gb instance_price_per_hour
-        integrate_price_usd price_series
+        SpotPriceModel VmSlot egress_price_per_gb get_instance_type
+        instance_price_per_hour integrate_price_usd
     """.split(),
     "repro.controlplane": """
         Action AdaptivePolicy Controller Decision MigrationPolicy
@@ -41,8 +39,7 @@ PUBLIC_NAMES = {
         Advice CallFractions CostReport MIN_USEFUL_GRANULARITY Prediction
         VmCost best_speedup_when_doubling call_fractions
         cost_per_million_samples cost_report evaluate_setup granularity
-        peers_needed_for_speedup per_gpu_contribution predict
-        recommend_target_batch_size speedup_from_scaling
+        per_gpu_contribution predict speedup_from_scaling
     """.split(),
     "repro.data": """
         DATASETS DatasetSpec StoreLink get_dataset
@@ -110,7 +107,7 @@ PUBLIC_NAMES = {
     "repro.training": """
         GradientAccumulator LAMB Linear LocalTrainer MLP Module Optimizer
         ReLU SGD Sequential Tensor TrainLog compute_gradient cross_entropy
-        make_classification_data no_grad
+        make_classification_data
     """.split(),
 }
 
@@ -192,6 +189,19 @@ def test_analytical_layer_loads_no_numpy():
     assert "repro.core.planner" in modules
     assert "numpy" not in modules
     assert "repro.hivemind.run" not in modules
+
+
+def test_fabric_transfer_loads_no_numpy():
+    modules = _loaded(
+        "from repro.network.fabric import Fabric\n"
+        "from repro.network import build_topology\n"
+        "from repro.simulation import Environment\n"
+        "env = Environment()\n"
+        "fabric = Fabric(env, build_topology({'gc:us': 1, 'gc:eu': 1}))\n"
+        "env.run(fabric.transfer('gc:us/0', 'gc:eu/0', 1e6))"
+    )
+    assert "repro.network.fabric" in modules
+    assert "numpy" not in modules
 
 
 def test_granularity_stays_the_function_after_submodule_imports():

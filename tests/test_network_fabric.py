@@ -2,7 +2,6 @@
 
 import gc
 
-import numpy as np
 import pytest
 
 from repro.network import (
@@ -142,11 +141,13 @@ def test_multiple_streams_raise_throughput():
 
 
 def test_stream_cap_models_serialization_bottleneck():
+    # A VM's serialization budget is a channel its flows cross.
     topo = two_site_topology(nic_bps=10 * GBPS)
     env = Environment()
-    fabric = Fabric(env, topo, stream_cap_bps=1.1 * GBPS)
+    fabric = Fabric(env, topo)
+    fabric.define_channel("ser", 1.1 * GBPS)
     nbytes = 1.1e9 / 8  # 1.1 Gbit
-    done = fabric.transfer("a", "b", nbytes)
+    done = fabric.transfer("a", "b", nbytes, channels=("ser",))
     env.run(done)
     assert env.now == pytest.approx(1.0, rel=0.01)
 
@@ -251,41 +252,6 @@ def test_channel_capacity_validation():
     fabric = Fabric(env, topo)
     with pytest.raises(ValueError):
         fabric.define_channel("x", 0.0)
-
-
-def test_jitter_varies_flow_ceilings():
-    import numpy as np
-
-    # TCP-capped path (500 Mb/s) so the jittered ceiling always binds.
-    topo = two_site_topology(nic_bps=1 * GBPS, window=1e6, rtt=0.016)
-    durations = []
-    for seed in range(4):
-        env = Environment()
-        fabric = Fabric(env, topo, jitter=0.3,
-                        rng=np.random.default_rng(seed))
-        done = fabric.transfer("a", "b", 125e6)
-        env.run(done)
-        durations.append(env.now)
-    assert len(set(durations)) > 1  # different seeds, different times
-
-
-def test_jitter_zero_is_deterministic():
-    topo = two_site_topology(nic_bps=1 * GBPS)
-    times = []
-    for __ in range(2):
-        env = Environment()
-        fabric = Fabric(env, topo, jitter=0.0)
-        done = fabric.transfer("a", "b", 125e6)
-        env.run(done)
-        times.append(env.now)
-    assert times[0] == times[1]
-
-
-def test_negative_jitter_rejected():
-    topo = two_site_topology()
-    env = Environment()
-    with pytest.raises(ValueError):
-        Fabric(env, topo, jitter=-0.1)
 
 
 @pytest.mark.parametrize("capture_processes", [False, True])
@@ -478,13 +444,14 @@ def test_redefined_channel_applies_to_its_idle_state():
 
 
 def test_channel_named_twice_is_one_resource():
-    # The capped flow freezes first at 10 Mb/s; the channel's other two
-    # members then split the 70 Mb/s it leaves.
+    # The capped flow freezes first at 10 Mb/s on its own channel; the
+    # shared channel's other two members then split the 70 Mb/s it
+    # leaves.
     env = Environment()
     fabric = Fabric(env, two_site_topology(nic_bps=1 * GBPS))
     fabric.define_channel("ser", 100e6)
-    capped = fabric.transfer("a", "b", 1e6, stream_cap_bps=10e6,
-                             channels=("ser", "ser"))
+    fabric.define_channel("cap", 10e6)
+    capped = fabric.transfer("a", "b", 1e6, channels=("ser", "ser", "cap"))
     others = [fabric.transfer(src, "c", 50e6, channels=("ser",))
               for src in ("a", "b")]
     env.run(until=0.1)
@@ -495,18 +462,19 @@ def test_channel_named_twice_is_one_resource():
 
 def test_transfer_builds_the_requested_flow():
     env = Environment()
-    topo = two_site_topology(nic_bps=1 * GBPS, rtt=0.2)
-    fabric = Fabric(env, topo, stream_cap_bps=30e6)
+    # Window/RTT bound: 8 * 750 kB / 0.2 s = 30 Mb/s per stream.
+    topo = two_site_topology(nic_bps=1 * GBPS, window=750e3, rtt=0.2)
+    fabric = Fabric(env, topo)
     env.run(until=0.5)
     plain = fabric.transfer("a", "b", 7e6, tag="grad")
-    wide = fabric.transfer("b", "a", 9e6, streams=3, stream_cap_bps=20e6)
+    wide = fabric.transfer("b", "a", 9e6, streams=3)
     assert plain.flow_id == 0 and wide.flow_id == 1
     assert (plain.src.name, plain.dst.name) == ("a", "b")
     assert (wide.src.name, wide.dst.name) == ("b", "a")
     assert plain.total_bytes == plain.remaining_bytes == 7e6
     assert wide.total_bytes == wide.remaining_bytes == 9e6
     assert plain.ceiling_bps == 30e6
-    assert wide.ceiling_bps == 3 * 20e6
+    assert wide.ceiling_bps == 3 * 30e6
     assert plain.tag == "grad" and wide.tag is None
     assert plain.started_s == wide.started_s == 0.5
     assert plain.resources == ("egress:a", "ingress:b", "path:a|b")
@@ -514,20 +482,6 @@ def test_transfer_builds_the_requested_flow():
     assert plain.states[2] is wide.states[2] is fabric._states["path:a|b"]
     assert plain.rate_bps == 0.0 and plain.span is None and not plain.aborted
     assert plain.fabric is fabric and not plain.triggered
-
-
-def test_setting_stream_cap_applies_to_resolved_routes():
-    env = Environment()
-    topo = two_site_topology(nic_bps=1 * GBPS)
-    fabric = Fabric(env, topo, stream_cap_bps=10e6)
-    first = fabric.transfer("a", "b", 1e6)
-    fabric.stream_cap_bps = 20e6
-    second = fabric.transfer("a", "b", 1e6)
-    fabric.stream_cap_bps = None
-    third = fabric.transfer("a", "b", 1e6)
-    assert first.ceiling_bps == 10e6
-    assert second.ceiling_bps == 20e6
-    assert third.ceiling_bps == topo.single_stream_bps("a", "b")
 
 
 def test_same_site_transfers_are_admitted_within_the_instant():
@@ -702,16 +656,12 @@ def test_message_delay_is_propagation_plus_bytes_over_the_slowest_rate():
     fabric.message("a", "b", 512.0)
     env.run()
     assert env.now == 0.1 + 512.0 * 8.0 / 40e3
-    # The fabric's stream cap lowers the ceiling; zero bytes take only
-    # the propagation delay.
+    # Zero bytes take only the propagation delay.
     env = Environment()
-    fabric = Fabric(env, two_site_topology(rtt=0.2), stream_cap_bps=1e4)
-    empty = fabric.message("a", "b", 0.0)
-    capped = fabric.message("a", "b", 100.0)
-    env.run(empty)
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    fabric.message("a", "b", 0.0)
+    env.run()
     assert env.now == 0.1
-    env.run(capped)
-    assert env.now == 0.1 + 100.0 * 8.0 / 1e4
     with pytest.raises(ValueError):
         fabric.message("a", "b", -1.0)
 
@@ -826,27 +776,14 @@ def test_message_resolves_its_route_like_a_transfer():
         fabric.message("a", "b", 512.0)
 
 
-def test_message_draws_nothing_from_the_jitter_generator():
-    env = Environment()
-    rng = np.random.default_rng(7)
-    fabric = Fabric(env, two_site_topology(), jitter=0.3, rng=rng)
-    state = rng.bit_generator.state
-    fabric.message("a", "b", 512.0)
-    env.run()
-    assert rng.bit_generator.state == state
-    fabric.transfer("a", "b", 512.0)
-    assert rng.bit_generator.state != state
-
-
 def test_message_opens_no_span():
     tel = Telemetry()
     env = Environment(telemetry=tel)
-    fabric = Fabric(env, two_site_topology(), telemetry=tel,
-                    trace_min_bytes=0.0)
-    fabric.message("a", "b", 512.0, "dht")
+    fabric = Fabric(env, two_site_topology(), telemetry=tel)
+    fabric.message("a", "b", 8192.0, "dht")
     env.run()
     assert not tel.tracer.spans
-    fabric.transfer("a", "b", 512.0, tag="dht")
+    fabric.transfer("a", "b", 8192.0, tag="dht")
     env.run()
     assert [span.category for span in tel.tracer.spans] == ["transfer"]
 

@@ -129,7 +129,8 @@ def test_profile_matrix_shape():
         nbytes=1e8,
     )
     assert set(result.locations) == {"gc:us", "gc:eu"}
-    assert result.bandwidth_gbps("gc:us", "gc:us") == pytest.approx(6.91, rel=0.05)
+    assert result.bandwidth_bps[("gc:us", "gc:us")] / GBPS == pytest.approx(
+        6.91, rel=0.05)
     assert result.rtt_ms("gc:us", "gc:eu") == pytest.approx(103, rel=0.05)
     rows = result.rows()
     assert len(rows) == 4
@@ -158,6 +159,6 @@ def test_profile_matrix_single_site_location_uses_nic():
     result = profile_matrix(topo, {"gc:us": "gc:us/0", "gc:eu": "gc:eu/0"},
                             nbytes=1e8)
     # With no same-location peer, the diagonal reports the NIC capacity.
-    assert result.bandwidth_gbps("gc:us", "gc:us") == pytest.approx(6.91,
-                                                                    rel=0.01)
+    assert result.bandwidth_bps[("gc:us", "gc:us")] / GBPS == pytest.approx(
+        6.91, rel=0.01)
     assert result.rtt_ms("gc:us", "gc:us") == 0.0

@@ -155,6 +155,23 @@ class TestTopology:
         assert path.rtt_s == 0.1
         assert path.window_bytes == 1e6
 
+    def test_partial_override_keeps_earlier_overrides(self):
+        topo = Topology()
+        topo.add_site(make_site("a", tcp_window_bytes=1e6))
+        topo.add_site(make_site("b"))
+        topo.set_path("a", "b", rtt_s=0.2)
+        before = topo.path("b", "a")
+        version = topo._version
+        topo.set_path("a", "b", capacity_bps=300 * MBPS)
+        assert topo._version == version + 1
+        assert topo.changed_since(version) == [("a", "b")]
+        assert topo._path_cache == {}
+        path = topo.path("b", "a")
+        assert path is not before
+        assert path.capacity_bps == 300 * MBPS
+        assert path.rtt_s == 0.2
+        assert path.window_bytes == 1e6
+
     def test_loopback_path_is_free(self):
         topo = Topology()
         topo.add_site(make_site("a"))

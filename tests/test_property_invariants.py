@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud import egress_price_per_gb
 from repro.controlplane import default_price_models
-from repro.core import granularity, speedup_from_scaling
+from repro.core import cost_report, granularity, speedup_from_scaling
 from repro.faults import generate_schedule
 from repro.hivemind import (
     HivemindRunConfig,
@@ -234,6 +235,21 @@ def test_property_run_accounting_identities(peers, locations, epochs,
         total, rel=1e-12)
     assert sum(result.egress_bytes_by_site.values()) == pytest.approx(
         total, rel=1e-12)
+    assert sum(result.bytes_by_tag.values()) == pytest.approx(
+        total, rel=1e-12)
+
+    # Billing: every metered byte is priced exactly once, at its pair's
+    # egress rate, whichever VM's internal or external line carries it.
+    report = cost_report(result)
+    billed = sum(
+        (vm.internal_egress_per_h + vm.external_egress_per_h)
+        * report.duration_h for vm in report.vms
+    )
+    priced = sum(
+        nbytes / 1e9 * egress_price_per_gb(topology.get(src), topology.get(dst))
+        for (src, dst), nbytes in result.egress_bytes_by_pair.items()
+    )
+    assert billed == pytest.approx(priced, rel=1e-9)
 
     assert len(result.epochs) == config.epochs
     previous_transfer_s = 0.0

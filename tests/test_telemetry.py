@@ -97,7 +97,7 @@ def test_retrospective_add_span_and_tracks_order():
     tracer.add_span("b", "cat", "track2", 1.0, 2.0)
     tracer.add_span("a", "cat", "track1", 0.0, 3.0, epoch=4)
     assert [t for __, t in tracer.tracks()] == ["track2", "track1"]
-    assert tracer.spans_on("track1")[0].attrs == {"epoch": 4}
+    assert [s for s in tracer.spans if s.track == "track1"][0].attrs == {"epoch": 4}
 
 
 def test_stale_span_closes_at_its_runs_final_time():
@@ -150,7 +150,7 @@ def test_environment_kernel_hooks_count_processes():
     assert tel.processes_finished == 2
     assert tel.processes_failed == 1
     assert tel.events_scheduled > 0
-    process_spans = tel.tracer.spans_on("sim:processes")
+    process_spans = [s for s in tel.tracer.spans if s.track == "sim:processes"]
     assert len(process_spans) == 2
     assert sorted(s.attrs["ok"] for s in process_spans) == [False, True]
     tel.sync_kernel_metrics()
@@ -181,7 +181,7 @@ def test_histogram_bucket_edges_are_le_inclusive():
     for value in (0.5, 1.0, 1.00001, 5.0, 10.0, 11.0):
         hist.observe(value)
     # value == bound lands in that bound's bucket (Prometheus le).
-    assert hist.cumulative_counts() == [2, 4, 5, 6]
+    assert hist.series().bucket_counts == [2, 2, 1, 1]
     assert hist.count() == 6
     assert hist.sum() == pytest.approx(28.50001)
 

@@ -48,7 +48,7 @@ class TestTracedRun:
         tel, result = traced_run(counts={"gc:us": 2, "gc:eu": 2})
         for peer in result.config.peers:
             categories = {
-                s.category for s in tel.tracer.spans_on(peer.site)
+                s.category for s in tel.tracer.spans if s.track == peer.site
             }
             assert {"calc", "matchmaking", "transfer"} <= categories, (
                 peer.site, categories
@@ -57,8 +57,8 @@ class TestTracedRun:
     def test_epoch_spans_match_epoch_stats(self):
         tel, result = traced_run()
         site = result.config.peers[0].site
-        calc_spans = [s for s in tel.tracer.spans_on(site)
-                      if s.category == "calc"]
+        calc_spans = [s for s in tel.tracer.spans
+                      if s.track == site and s.category == "calc"]
         assert len(calc_spans) == len(result.epochs)
         for span, stats in zip(calc_spans, result.epochs):
             assert span.attrs["epoch"] == stats.index

@@ -32,18 +32,6 @@ class TestLayers:
         # (8*16 + 16) + (16*4 + 4)
         assert mlp.parameter_count() == 8 * 16 + 16 + 16 * 4 + 4
 
-    def test_state_vector_roundtrip(self):
-        mlp = MLP(3, [5], 2, rng=np.random.default_rng(0))
-        vector = mlp.state_vector()
-        mlp2 = MLP(3, [5], 2, rng=np.random.default_rng(9))
-        mlp2.load_state_vector(vector)
-        np.testing.assert_array_equal(mlp2.state_vector(), vector)
-
-    def test_load_state_vector_length_check(self):
-        mlp = MLP(3, [5], 2)
-        with pytest.raises(ValueError):
-            mlp.load_state_vector(np.zeros(3))
-
     def test_grad_vector_zeros_when_no_grads(self):
         mlp = MLP(3, [5], 2)
         assert np.all(mlp.grad_vector() == 0)
