@@ -106,23 +106,27 @@ class FaultInjector:
     def _build_timeline(self) -> list[tuple]:
         """Flatten the schedule into ``(time, seq, action, fault)``
         entries, sorted by time with a canonical tie-break so injection
-        order is independent of how the schedule was assembled."""
+        order is independent of how the schedule was assembled. An
+        action is a plain function of the injector and the fault, not a
+        bound method, so the timeline holds no reference back to the
+        injector and the two form no reference cycle."""
+        cls = type(self)
         timeline: list[tuple] = []
         for fault in self.schedule.link_faults:
             timeline.append((fault.start_s, self._link_key(fault),
-                             self._apply_link, fault))
+                             cls._apply_link, fault))
             timeline.append((fault.end_s, self._link_key(fault),
-                             self._revert_link, fault))
+                             cls._revert_link, fault))
         for fault in self.schedule.compute_faults:
             key = ("compute", fault.site, fault.rate_factor)
-            timeline.append((fault.start_s, key, self._apply_compute, fault))
-            timeline.append((fault.end_s, key, self._revert_compute, fault))
+            timeline.append((fault.start_s, key, cls._apply_compute, fault))
+            timeline.append((fault.end_s, key, cls._revert_compute, fault))
         for fault in self.schedule.crash_faults:
             timeline.append((fault.start_s, ("crash", fault.site),
-                             self._apply_crash, fault))
+                             cls._apply_crash, fault))
         for outage in self.schedule.zone_outages:
             timeline.append((outage.start_s, ("zone", outage.zone),
-                             self._apply_zone_outage, outage))
+                             cls._apply_zone_outage, outage))
         timeline.sort(key=lambda entry: (entry[0], entry[1]))
         return timeline
 
@@ -142,7 +146,7 @@ class FaultInjector:
             delay = when - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
-            action(fault)
+            action(self, fault)
         # Keep the generator a generator even for same-instant tails.
         if False:  # pragma: no cover
             yield

@@ -120,14 +120,6 @@ class MoshpitAverager:
 
     # -- helpers -----------------------------------------------------------
 
-    def _channels(self, src: str, dst: str) -> tuple[str, ...]:
-        return self._out_channels.get(src, ()) + self._in_channels.get(dst, ())
-
-    def _send(self, src: str, dst: str, nbytes: float) -> Event:
-        return self.fabric.transfer(
-            src, dst, nbytes, tag="averaging", channels=self._channels(src, dst)
-        )
-
     def _plan_for(self, present: set) -> tuple[list, tuple]:
         """Restrict the static group plan to the present sites."""
         groups = [
@@ -375,16 +367,29 @@ class MoshpitAverager:
     # -- stage transfer builders -------------------------------------------
 
     def _intra_transfers(self, groups: list[tuple[str, ...]]) -> list[Event]:
+        """One chunk from every member of each group to every other.
+
+        A flow crosses its source's sending channel and its
+        destination's receiving channel (when the site is capped); each
+        source's channel is looked up once, each group's receiving
+        channels once per stage."""
         transfers = []
+        append = transfers.append
+        transfer = self.fabric.transfer
+        out_channels = self._out_channels
+        in_channels = self._in_channels
         for group in groups:
             g = len(group)
             if g < 2:
                 continue
             chunk = self.payload_bytes / g
+            receivers = [(dst, in_channels.get(dst, ())) for dst in group]
             for src in group:
-                for dst in group:
+                out = out_channels.get(src, ())
+                for dst, into in receivers:
                     if src != dst:
-                        transfers.append(self._send(src, dst, chunk))
+                        append(transfer(src, dst, chunk, tag="averaging",
+                                        channels=out + into))
         return transfers
 
     def _hub_transfers(self, groups, hub) -> list[Event]:
@@ -398,6 +403,9 @@ class MoshpitAverager:
         hybrid experiments. Both directions run concurrently.
         """
         transfers = []
+        transfer = self.fabric.transfer
+        out_channels = self._out_channels
+        in_channels = self._in_channels
         for group in groups:
             if group == hub:
                 continue
@@ -406,8 +414,12 @@ class MoshpitAverager:
             for k in range(streams):
                 src = group[k % len(group)]
                 dst = hub[k % len(hub)]
-                transfers.append(self._send(src, dst, chunk))
-                transfers.append(self._send(dst, src, chunk))
+                transfers.append(transfer(
+                    src, dst, chunk, tag="averaging",
+                    channels=out_channels.get(src, ()) + in_channels.get(dst, ())))
+                transfers.append(transfer(
+                    dst, src, chunk, tag="averaging",
+                    channels=out_channels.get(dst, ()) + in_channels.get(src, ())))
         return transfers
 
     def _round_bytes(self, groups, hub) -> float:

@@ -644,11 +644,15 @@ class _Run:
         # Nothing runs after this: release what the unfinished processes,
         # the routes, the DHT registry and the averager's liveness probe
         # hold, so the run is freed by reference counting rather than
-        # when the cyclic collector reaches it.
+        # when the cyclic collector reaches it. The fleet's listener and
+        # the controller's callbacks are this run's bound methods, and
+        # the injector's crash hook reaches the fleet: dropping the three
+        # ends those cycles.
         self.env.close()
         self.fabric.close()
         self.dht_network.close()
         self.averager.set_liveness(None)
+        self.fleet = self.controller = self.injector = None
         return result
 
     def _train(self):

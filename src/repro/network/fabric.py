@@ -32,13 +32,18 @@ flow on the route carries that tuple, so admission, the fill and
 completion reach a resource without a string-keyed lookup. The state
 caches the resource's capacity and holds the fill's per-pass
 ``remaining`` and ``count``. A route is resolved from the objects that
-define it (the sites, the path spec, the channel capacities), and a
-topology change costs only the pairs it changed: their routes are
-dropped, found through a per-pair index, and their path states'
-capacities refreshed. Every other route and state stays as it was: a
-pair's path depends only on its own override or default, sites are
-frozen, and :meth:`Fabric.define_channel` updates channel states in
-place.
+define it (the sites, the path spec, the channel capacities). Each
+site's egress and ingress states and each channel's state are also
+kept by site or channel name, so a new route finds them with one
+lookup each and builds no resource id for them: a new pair costs its
+:meth:`Topology.path` lookup, its one ``path:`` state and the route
+tuple. A channel named twice on a route is one state on it. A topology
+change costs only the pairs it changed: their routes are dropped,
+found through a per-pair index, and their path states' capacities
+refreshed. Every other route and state stays as it was: a pair's path
+depends only on its own override or default, sites are frozen (so the
+per-site tables cannot go stale), and :meth:`Fabric.define_channel`
+updates channel states in place.
 
 A transfer is one object. :class:`Flow` is an :class:`Event` subclass
 and :meth:`Fabric.transfer` returns the flow itself: it succeeds when
@@ -66,7 +71,8 @@ in the same order and at the same float times as with one entry each:
   admitted at the end of the instant by the same code, as a batch of
   one.
 * **Completion.** The flows found finished at one instant are metered
-  one by one, then triggered through :meth:`Environment.succeed_all`,
+  one by one (untraced, one :meth:`TrafficMeter.record` call each),
+  then triggered through :meth:`Environment.succeed_all`,
   one queue entry whose callbacks run in the same order. Nothing the
   fabric keeps refers to a finished flow, so a finished stage is freed
   by reference counting rather than waiting for the cyclic collector.
@@ -82,7 +88,8 @@ then metered and completed in the same order as on the per-flow path.
 A fabric whose simulation is over can be closed (:meth:`Fabric.close`):
 it drops its route cache and resource states so that they are freed
 at once, even while reference cycles elsewhere keep the fabric alive,
-and refuses any later transfer.
+cuts each aborted flow's cycle with its error, and refuses any later
+transfer.
 
 A control-plane payload too small to matter to the fair share (a DHT
 RPC leg) is a :class:`Message` instead (:meth:`Fabric.message`). Its
@@ -134,7 +141,10 @@ class TransferAborted(Exception):
     def __init__(self, flow: "Flow", reason: str = "aborted"):
         super().__init__(f"transfer {flow.flow_id} {reason} "
                          f"({flow.src.name}->{flow.dst.name})")
-        self.flow = flow
+        #: The aborted flow; ``None`` once its fabric is closed (this
+        #: error is the flow's value, so the two form a reference cycle
+        #: that :meth:`Fabric.close` cuts).
+        self.flow: Optional[Flow] = flow
         self.reason = reason
 
 
@@ -357,7 +367,7 @@ class _ResourceState:
     Created once per resource id and kept for the fabric's lifetime;
     every route that crosses the resource holds this same object, so a
     flow reaches it without a string-keyed lookup. ``members`` is
-    maintained incrementally by :meth:`Fabric._register_flow` /
+    maintained incrementally by :meth:`Fabric._admit_batch` /
     :meth:`Fabric._unregister_flow`; ``capacity`` is taken from the
     site, path or channel that defines the resource and refreshed when
     that path or channel changes. ``remaining`` and ``count`` are the
@@ -422,6 +432,14 @@ class Fabric:
         #: Every shared resource a route has used, one persistent state
         #: each; never dropped, so a resource is always one object.
         self._states: dict[str, _ResourceState] = {}
+        #: The same states of each site's NICs and of each channel, by
+        #: site or channel name, filled the first time a route crosses
+        #: them: a new route looks its NICs and channels up here rather
+        #: than building their resource ids. Sites are frozen and NIC
+        #: capacities never change, so these tables never go stale.
+        self._egress: dict[str, _ResourceState] = {}
+        self._ingress: dict[str, _ResourceState] = {}
+        self._channel_states: dict[str, _ResourceState] = {}
         #: The states with at least one member flow, in the order they
         #: gained their first member; maintained as flows start and
         #: finish.
@@ -447,6 +465,8 @@ class Fabric:
         self.peak_active_flows = 0
         #: Transfers cancelled via :meth:`abort` (reported by chaos runs).
         self.aborted_flows = 0
+        #: The errors of the flows aborted so far, for :meth:`close`.
+        self._abort_errors: list[TransferAborted] = []
         self._aborts_counter = self.telemetry.counter(
             "transfer_aborts_total", "Fabric transfers cancelled mid-flight"
         )
@@ -457,7 +477,7 @@ class Fabric:
         if capacity_bps <= 0:
             raise ValueError("channel capacity must be positive")
         self._channel_caps[name] = capacity_bps
-        state = self._states.get(f"channel:{name}")
+        state = self._channel_states.get(name)
         if state is not None:
             state.capacity = capacity_bps
 
@@ -480,9 +500,15 @@ class Fabric:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        src_site, dst_site, path, propagation, states, ceiling = self._route(
-            src, dst, channels
+        # A cached route while the topology is unchanged, else the slow
+        # path (catch up, resolve).
+        entry = (
+            self._rid_cache.get((src, dst, channels))
+            if self.topology._version == self._topology_version else None
         )
+        if entry is None:
+            entry = self._route(src, dst, channels)
+        src_site, dst_site, path, propagation, states, ceiling = entry
         if streams != 1:
             ceiling = effective_ceiling_bps(path, streams)
         env = self.env
@@ -572,8 +598,9 @@ class Fabric:
         if self._closed:
             raise RuntimeError("transfer on a closed fabric")
         topology = self.topology
-        src_site = topology.get(src)
-        dst_site = topology.get(dst)
+        sites = topology.sites
+        src_site = sites[src]
+        dst_site = sites[dst]
         path = topology.path(src, dst)
         channel_caps = self._channel_caps
         for channel in channels:
@@ -581,23 +608,29 @@ class Fabric:
                 raise KeyError(f"undefined channel {channel!r}")
         pair = _path_rid(src, dst)
         if src == dst:
-            resources: list[tuple[str, float]] = []
+            states: list[_ResourceState] = []
         else:
-            resources = [
-                (f"egress:{src}", src_site.nic_bps),
-                (f"ingress:{dst}", dst_site.nic_bps),
-                (pair, path.capacity_bps),
-            ]
-        # A channel named twice is one resource: the fill decrements a
-        # state once per entry in ``flow.states``.
-        for name in dict.fromkeys(channels):
-            resources.append((f"channel:{name}", channel_caps[name]))
-        states = []
-        for rid, capacity in resources:
-            state = self._states.get(rid)
+            egress = self._egress.get(src)
+            if egress is None:
+                egress = self._egress[src] = self._new_state(
+                    f"egress:{src}", src_site.nic_bps)
+            ingress = self._ingress.get(dst)
+            if ingress is None:
+                ingress = self._ingress[dst] = self._new_state(
+                    f"ingress:{dst}", dst_site.nic_bps)
+            path_state = self._states.get(pair)
+            if path_state is None:
+                path_state = self._new_state(pair, path.capacity_bps)
+            states = [egress, ingress, path_state]
+        for channel in channels:
+            state = self._channel_states.get(channel)
             if state is None:
-                state = self._states[rid] = _ResourceState(capacity, rid)
-            states.append(state)
+                state = self._channel_states[channel] = self._new_state(
+                    f"channel:{channel}", channel_caps[channel])
+            # A channel named twice is one resource: the fill decrements
+            # a state once per entry in ``flow.states``.
+            if state not in states:
+                states.append(state)
         key = (src, dst, channels)
         entry = self._rid_cache[key] = (
             src_site, dst_site, path, path.rtt_s / 2.0, tuple(states),
@@ -607,28 +640,41 @@ class Fabric:
             self._pair_routes.setdefault(pair, []).append(key)
         return entry
 
+    def _new_state(self, rid: str, capacity: float) -> _ResourceState:
+        """Create and register the persistent state of resource ``rid``."""
+        state = self._states[rid] = _ResourceState(capacity, rid)
+        return state
+
     def close(self) -> None:
         """Release the route cache once the simulation is over.
 
         Drops every cached route, the per-pair route index and the
-        persistent resource states, so they are freed by reference
-        counting even while cycles elsewhere keep the fabric itself
-        alive. Every later :meth:`transfer` raises: with the cache empty
-        it must resolve its route, and resolution refuses. Flows still
-        in flight or waiting for admission are let go too (the active
-        set, the occupied states' member sets and the pending admission
-        batch), because each of them refers back to the fabric; they
-        never complete.
+        persistent resource states with their per-site and per-channel
+        tables, so they are freed by reference counting even while
+        cycles elsewhere keep the fabric itself alive. Every later
+        :meth:`transfer` raises: with the cache empty it must resolve
+        its route, and resolution refuses. Flows still in flight or
+        waiting for admission are let go too (the active set, the
+        occupied states' member sets and the pending admission batch),
+        because each of them refers back to the fabric; they never
+        complete. An aborted flow and its :class:`TransferAborted`
+        refer to each other, so each error's ``flow`` is cleared.
         """
         self._closed = True
         self._rid_cache.clear()
         self._pair_routes = None
         self._states.clear()
+        self._egress.clear()
+        self._ingress.clear()
+        self._channel_states.clear()
         self._admission = None
         self._flows.clear()
         for state in self._resources.values():
             state.members.clear()
         self._resources.clear()
+        for error in self._abort_errors:
+            error.flow = None
+        self._abort_errors.clear()
 
     @property
     def active_flows(self) -> int:
@@ -666,7 +712,9 @@ class Fabric:
         if tel is not None:
             # Close out the flow's logical process.
             tel.processes_finished += 1
-        flow.fail(TransferAborted(flow, reason))
+        error = TransferAborted(flow, reason)
+        self._abort_errors.append(error)
+        flow.fail(error)
         flow.defused = True
         return True
 
@@ -712,51 +760,64 @@ class Fabric:
                 )
             seconds_child.observe(self.env._now - started_s)
 
-    def _finish_flow(self, flow: Flow) -> None:
-        """Meter a delivered flow; the caller then triggers it."""
-        self._meter(flow.src, flow.dst, flow.total_bytes, flow.tag, flow.started_s)
-        if flow.span is not None:
-            self._tracer.finish(flow.span)
+    def _finish_flows(self, flows: list[Flow]) -> None:
+        """Mark flows delivered and meter them, in order; the caller then
+        triggers them. Untraced, that is one :meth:`TrafficMeter.record`
+        call per flow, which is all :meth:`_meter` does without a
+        tracer."""
+        tracer = self._tracer
+        if tracer is None:
+            record = self.meter.record
+            for flow in flows:
+                flow.remaining_bytes = 0.0
+                record(flow.src, flow.dst, flow.total_bytes, flow.tag)
+        else:
+            meter = self._meter
+            for flow in flows:
+                flow.remaining_bytes = 0.0
+                meter(flow.src, flow.dst, flow.total_bytes, flow.tag,
+                      flow.started_s)
+                if flow.span is not None:
+                    tracer.finish(flow.span)
         tel = self.env._telemetry
         if tel is not None:
-            # Close out the flow's logical process.
-            tel.processes_finished += 1
+            # Close out the flows' logical processes.
+            tel.processes_finished += len(flows)
 
     def _admit_batch(self, flows: list[Flow]) -> None:
         """Admit flows whose propagation delay has elapsed (one timer's
-        batch, or one zero-delay flow), in request order. The clock
-        advances and the fabric is marked dirty once, at the first flow
+        batch, or one zero-delay flow), in request order: each joins the
+        active set and its resources' member sets. The clock advances
+        and the fabric is marked dirty once, at the first flow
         registered: later advances at this instant would be no-ops, and
-        the generation is only ever compared for equality."""
+        the generation is only ever compared for equality. The
+        high-water mark is checked once, after the batch, which is exact
+        because admission only adds flows."""
         admission = self._admission
         if admission is not None and admission[2] is flows:
             self._admission = None
+        active = self._flows
+        resources = self._resources
         dirty = False
         for flow in flows:
             if flow.aborted:
                 continue
             if flow.remaining_bytes <= 0:
-                self._finish_flow(flow)
+                self._finish_flows([flow])
                 flow.succeed()
                 continue
             if not dirty:
                 dirty = True
                 self._advance_clock()
                 self._mark_dirty()
-            self._register_flow(flow)
-
-    def _register_flow(self, flow: Flow) -> None:
-        """Add a flow to the active set and its resources' member sets."""
-        flows = self._flows
-        flows[flow] = None
-        if len(flows) > self.peak_active_flows:
-            self.peak_active_flows = len(flows)
-        resources = self._resources
-        for state in flow.states:
-            members = state.members
-            if not members:
-                resources[state.rid] = state
-            members.add(flow)
+            active[flow] = None
+            for state in flow.states:
+                members = state.members
+                if not members:
+                    resources[state.rid] = state
+                members.add(flow)
+        if len(active) > self.peak_active_flows:
+            self.peak_active_flows = len(active)
 
     def _unregister_flow(self, flow: Flow) -> None:
         """Remove a finished flow from the active set and its resources."""
@@ -934,17 +995,17 @@ class Fabric:
 
     def _complete_due_flows(self) -> None:
         self._advance_clock()
-        finished = [
-            flow
-            for flow in self._flows
-            # A flow is done when the residue is a rounding artifact or
-            # would drain within a microsecond at its current rate.
-            if flow.remaining_bytes
-            <= max(
-                _EPS * max(1.0, flow.total_bytes),
-                flow.rate_bps * 1e-6 / 8.0,
-            )
-        ]
+        # A flow is done when the residue is a rounding artifact or would
+        # drain within a microsecond at its current rate: ``remaining <=
+        # max(_EPS * max(1.0, total), rate * 1e-6 / 8.0)``, written as two
+        # comparisons of the same float expressions.
+        finished = []
+        for flow in self._flows:
+            remaining = flow.remaining_bytes
+            total = flow.total_bytes
+            if (remaining <= _EPS * (total if total > 1.0 else 1.0)
+                    or remaining <= flow.rate_bps * 1e-6 / 8.0):
+                finished.append(flow)
         if len(finished) == len(self._flows):
             # Every active flow finished: reset membership wholesale
             # rather than discarding each flow from its states. Only
@@ -957,8 +1018,6 @@ class Fabric:
         else:
             for flow in finished:
                 self._unregister_flow(flow)
-        for flow in finished:
-            flow.remaining_bytes = 0.0
-            self._finish_flow(flow)
+        self._finish_flows(finished)
         self.env.succeed_all(finished)
         self._mark_dirty()

@@ -14,7 +14,9 @@ The kernel is intentionally minimal but complete enough for the study:
 * :class:`AllOf` / :class:`AnyOf` — condition events over multiple events.
   A condition binds its observer once and appends that one object to
   every sub-event, so waiting on a fan-out of n transfers allocates one
-  bound method rather than n.
+  bound method rather than n, and an :class:`AllOf`'s observer only
+  counts down. A condition that triggers takes its observer off the
+  sub-events still pending, so those do not hold it in a cycle.
 
 Every event class declares ``__slots__``, so an event carries no
 instance ``__dict__``; a subclass (the fabric's flow is one) adds its
@@ -25,8 +27,9 @@ takes one ``(time, sequence)`` slot like any event. Its class-level
 ``_ok`` marks it as succeeded, so the run loops treat it like an event.
 :attr:`Environment.events_scheduled` counts every queue entry, bare
 entries included. :meth:`Environment.close` ends a simulation: it drops
-the queue and closes every unfinished process, so a finished
-simulation is freed by reference counting.
+the queue and closes every unfinished process (detaching a condition it
+waited on from that condition's sub-events), so a finished simulation
+is freed by reference counting.
 
 Time is a ``float`` in seconds. Scheduling is deterministic: events firing
 at the same timestamp are processed in the order they were scheduled.
@@ -337,62 +340,70 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for events combining several sub-events."""
+    """Base for events combining several sub-events.
+
+    Every sub-event is checked to belong to this environment before the
+    condition observes any. ``_count`` starts at the number of
+    sub-events still to succeed; :class:`AllOf` counts it down as each
+    one is observed, so its observer does one count and one compare.
+    A condition that triggers while some sub-events are still pending
+    takes its observer off them: an abort signal that never fires, or a
+    timer still queued when the simulation ends, then holds no
+    reference to the condition, and the two do not keep each other
+    alive in a reference cycle.
+    """
 
     __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = events = list(events)
-        if self._check_now():
-            return
-        # One bound method serves every sub-event: a fan-out of n
-        # transfers allocates one observer, not n.
-        observe = self._observe
+        # Only *processed* events count: a Timeout has its value decided
+        # at construction but has not yet occurred in simulated time.
+        done = 0
+        failed = None
         for event in events:
-            if event.callbacks is None:
-                observe(event)
-            else:
-                event.callbacks.append(observe)
-
-    def _check_now(self) -> bool:
-        """Check that every sub-event belongs to this environment, and
-        trigger immediately when the condition already holds.
-
-        Only *processed* events count: a Timeout has its value decided at
-        construction but has not yet occurred in simulated time.
-        """
-        env = self.env
-        count = 0
-        for event in self._events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
-            if event.callbacks is None and event._ok:
-                count += 1
-        self._count = count
-        if self._satisfied():
-            self._finish()
-            return True
-        self._count = 0
-        return False
+            if event.callbacks is None:
+                if event._ok:
+                    done += 1
+                elif failed is None:
+                    failed = event
+        if self._satisfied(done):
+            self.succeed(self._collect())
+        elif failed is not None:
+            self._fail_with(failed)
+        else:
+            self._count = len(events) - done
+            # One bound method serves every sub-event: a fan-out of n
+            # transfers allocates one observer, not n.
+            observe = self._observe
+            for event in events:
+                if event.callbacks is not None:
+                    event.callbacks.append(observe)
 
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self._finish()
-
-    def _satisfied(self) -> bool:
+    def _satisfied(self, done: int) -> bool:
+        """Whether the condition holds once ``done`` sub-events have
+        been processed successfully."""
         raise NotImplementedError
 
-    def _finish(self) -> None:
-        if not self.triggered:
-            self.succeed(self._collect())
+    def _observe(self, event: Event) -> None:
+        raise NotImplementedError
+
+    def _fail_with(self, event: Event) -> None:
+        """Fail with a failed sub-event's error, which is handled here."""
+        event.defused = True
+        self.fail(event._value)
+        self._detach()
+
+    def _detach(self) -> None:
+        """Take this condition's observer off every pending sub-event."""
+        observe = self._observe
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks and observe in callbacks:
+                callbacks.remove(observe)
 
     def _collect(self) -> dict:
         return {
@@ -407,8 +418,24 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._count >= len(self._events)
+    def _satisfied(self, done: int) -> bool:
+        return done >= len(self._events)
+
+    def _observe(self, event: Event) -> None:
+        if self._value is not _PENDING:
+            return
+        if not event._ok:
+            self._fail_with(event)
+            return
+        count = self._count - 1
+        self._count = count
+        if not count:
+            self.succeed(self._collect())
+
+    def _collect(self) -> dict:
+        # Only called once every sub-event has been processed and
+        # succeeded, so none needs testing.
+        return {index: event.value for index, event in enumerate(self._events)}
 
 
 class AnyOf(_Condition):
@@ -416,8 +443,17 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._count >= 1 or not self._events
+    def _satisfied(self, done: int) -> bool:
+        return done >= 1 or not self._events
+
+    def _observe(self, event: Event) -> None:
+        if self._value is not _PENDING:
+            return
+        if not event._ok:
+            self._fail_with(event)
+            return
+        self.succeed(self._collect())
+        self._detach()
 
 
 class Environment:
@@ -542,8 +578,9 @@ class Environment:
         """End the simulation and release what it still holds.
 
         Drops every queued entry, unlinks each unfinished process from
-        the event it waits on (dropping that event's callbacks) and
-        closes its generator, which raises ``GeneratorExit`` at its
+        the event it waits on (dropping that event's callbacks, and a
+        condition's observer on its pending sub-events) and closes its
+        generator, which raises ``GeneratorExit`` at its
         ``yield``, so its ``with`` blocks exit: a traced span closes at
         the final clock, as :meth:`repro.telemetry.Tracer.seal` would
         close it. A waiting process and its event, or a queued event and
@@ -557,6 +594,8 @@ class Environment:
             target, process._target = process._target, None
             if target is not None and target.callbacks:
                 target.callbacks.clear()
+            if isinstance(target, _Condition):
+                target._detach()
             process._generator.close()
 
     def peek(self) -> float:

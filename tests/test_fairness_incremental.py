@@ -404,6 +404,42 @@ def test_targeted_invalidation_matches_fresh_resolution(ops):
             assert_rates_match(env, fabric)
 
 
+def test_redefined_channel_and_set_path_keep_routes_on_their_states():
+    topo = region_topology()
+    env = Environment()
+    fabric = Fabric(env, topo)
+    fabric.define_channel("c0", 300 * MBPS)
+    fabric.define_channel("c1", 800 * MBPS)
+    routes = [("a", "b", ("c0",)), ("b", "a", ("c0", "c1")),
+              ("a", "d", ("c1", "c1")), ("c", "c", ("c0",)), ("d", "b", ())]
+    flows = [fabric.transfer(src, dst, 5e7, channels=channels)
+             for src, dst, channels in routes]
+    before = {key: entry[4] for key, entry in fabric._rid_cache.items()}
+    env.run(until=0.05)
+    # Redefine a channel that live routes cross, then change a path.
+    fabric.define_channel("c0", 120 * MBPS)
+    topo.set_path("a", "b", capacity_bps=50 * MBPS)
+    flows.append(fabric.transfer("a", "b", 1e6, channels=("c0",)))
+    assert fabric._topology_version == topo._version
+    assert_routes_match_fresh(fabric)
+    for key, entry in fabric._rid_cache.items():
+        assert all(fabric._states[state.rid] is state for state in entry[4])
+    # The re-resolved a->b route crosses the very states it crossed
+    # before the change, the redefined channel's included.
+    assert fabric._rid_cache[("a", "b", ("c0",))][4] == before[("a", "b", ("c0",))]
+    assert fabric._states["channel:c0"].capacity == 120 * MBPS
+    assert fabric._states["path:a|b"].capacity == 50 * MBPS
+    # A channel named twice is one state on the route.
+    twice = fabric._rid_cache[("a", "d", ("c1", "c1"))][4]
+    assert [state.rid for state in twice] == [
+        "egress:a", "ingress:d", "path:a|d", "channel:c1"]
+    # A loopback route crosses its channels only.
+    assert [state.rid for state in fabric._rid_cache[("c", "c", ("c0",))][4]] \
+        == ["channel:c0"]
+    env.run(env.all_of(flows))
+    assert not fabric._resources
+
+
 # ---------------------------------------------------------------------------
 # wholesale completion: a completion that empties the fabric resets
 # membership in one step, and must leave what per-flow teardown leaves
@@ -420,8 +456,7 @@ def complete_flow_by_flow(fabric):
     ]
     for flow in finished:
         fabric._unregister_flow(flow)
-        flow.remaining_bytes = 0.0
-        fabric._finish_flow(flow)
+        fabric._finish_flows([flow])
     fabric.env.succeed_all(finished)
     fabric._mark_dirty()
 

@@ -421,3 +421,44 @@ class TestRunTeardown:
         finally:
             gc.enable()
         assert result.run.epochs
+
+    @pytest.mark.parametrize("case", ["chaos", "spot", "adaptive"])
+    def test_faulted_spot_and_adaptive_runs_are_freed_without_the_collector(
+            self, monkeypatch, case):
+        """A fault injector, a spot fleet and a controller hold bound
+        methods of the run or of themselves, aborted flows are their
+        own errors' values, and abort signals and RPC timers are
+        left pending: none of it keeps the run alive once it returns."""
+        from repro.controlplane import get_policy
+        from repro.experiments import (
+            adaptive_market, run_experiment, standby_peers_for)
+        from repro.hivemind import run as run_module
+
+        key, kwargs = {
+            "chaos": ("B-8", {"fault_schedule": chaos_schedule_for(
+                "B-8", seed=2, intensity=4.0, horizon_s=1800.0)}),
+            "spot": ("B-8", {
+                "interruption_model": InterruptionModel(monthly_rate=0.9)}),
+            "adaptive": ("D-2", {
+                "policy": get_policy("adaptive"),
+                "price_models": adaptive_market("D-2"),
+                "standby_peers": standby_peers_for("D-2"),
+            }),
+        }[case]
+        refs = []
+
+        class WatchedRun(run_module._Run):
+            def __init__(self, config):
+                super().__init__(config)
+                refs.extend(weakref.ref(obj) for obj in (self, self.env))
+
+        monkeypatch.setattr(run_module, "_Run", WatchedRun)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_experiment(key, "conv", epochs=16, **kwargs)
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert result.run.epochs

@@ -1,6 +1,7 @@
 """Tests for the flow-level fabric: fair sharing, TCP caps, metering."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -553,6 +554,31 @@ def test_closed_fabric_lets_in_flight_flows_go():
     assert fabric.active_flows == 0 and fabric._admission is None
     assert not fabric._resources
     assert all(not state.members for state in running.states)
+
+
+def test_closed_fabric_cuts_each_aborted_flows_cycle():
+    # An aborted flow's value is its error, and the error names the
+    # flow: closing the fabric cuts that cycle, so neither outlives it.
+    env = Environment()
+    fabric = Fabric(env, two_site_topology(rtt=0.2))
+    flows = [fabric.transfer("a", "b", 1e9) for _ in range(2)]
+    env.run(until=0.5)
+    assert all(fabric.abort(flow) for flow in flows)
+    env.run()
+    errors = [flow.value for flow in flows]
+    assert [error.flow for error in errors] == flows
+    # A flow is not weak-referenceable; the states only it still holds
+    # after the close show when it is freed.
+    ref = weakref.ref(flows[0].states[0])
+    gc.collect()
+    gc.disable()
+    try:
+        fabric.close()
+        assert [error.flow for error in errors] == [None, None]
+        del flows
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- the flow is its own completion event ---------------------------------

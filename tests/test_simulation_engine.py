@@ -471,6 +471,82 @@ def test_condition_rejects_events_of_another_environment():
     assert mine.callbacks == []
 
 
+class TestAllOfEdgeCases:
+    def test_already_processed_sub_events_count(self):
+        env = Environment()
+        early = [env.event() for _ in range(3)]
+        for index, event in enumerate(early):
+            event.succeed(index)
+        env.run()
+        late = env.event()
+        both = env.all_of([early[0], late, early[1], early[2]])
+        # Only the pending sub-event is observed; one success fires it.
+        assert late.callbacks == [both._observe]
+        assert both._count == 1
+        late.succeed("late")
+        env.run()
+        assert both.value == {0: 0, 1: "late", 2: 1, 3: 2}
+
+    def test_failing_sub_event_fails_and_is_defused(self):
+        env = Environment()
+        events = [env.event() for _ in range(4)]
+        both = env.all_of(events)
+        events[0].succeed("ok")
+        events[2].fail(RuntimeError("lost"))
+        with pytest.raises(RuntimeError, match="lost"):
+            env.run(both)
+        assert events[2].defused and not both.ok
+        # The failed condition keeps no observer on the pending ones.
+        assert events[1].callbacks == [] and events[3].callbacks == []
+
+    def test_foreign_event_raises_before_any_observer(self):
+        env, other = Environment(), Environment()
+        before, after = env.event(), env.event()
+        with pytest.raises(SimulationError, match="different environments"):
+            env.all_of([before, other.event(), after])
+        assert before.callbacks == [] and after.callbacks == []
+
+    def test_value_maps_each_index_to_its_value(self):
+        env = Environment()
+        events = [env.timeout(delay, value=f"v{delay}") for delay in (3, 1, 2)]
+        both = env.all_of(events)
+        assert env.run(both) == {i: e.value for i, e in enumerate(events)}
+        assert both.value == {0: "v3", 1: "v1", 2: "v2"}
+
+    def test_empty_list_fires_at_once(self):
+        env = Environment()
+        nothing = env.all_of([])
+        assert nothing.triggered and nothing.ok
+        assert env.run(nothing) == {}
+        assert env.now == 0.0
+
+
+def test_triggered_condition_leaves_no_observer_on_pending_sub_events():
+    env = Environment()
+    fired, abort, timer = env.event(), env.event(), env.timeout(5.0)
+    either = env.any_of([fired, abort, timer])
+    fired.succeed("done")
+    env.run(either)
+    assert either.value == {0: "done"}
+    # The abort signal that never fires and the queued timer no longer
+    # refer to the condition, so neither holds it in a cycle.
+    assert abort.callbacks == [] and timer.callbacks == []
+
+
+def test_close_detaches_the_condition_a_process_waits_on():
+    env = Environment()
+    message, timer = env.event(), env.timeout(5.0)
+
+    def rpc():
+        yield env.any_of([message, timer])
+
+    env.process(rpc())
+    env.run(until=1.0)
+    assert len(message.callbacks) == 1
+    env.close()
+    assert message.callbacks == [] and timer.callbacks == []
+
+
 def test_kernel_events_have_no_instance_dict():
     env = Environment()
 
