@@ -10,7 +10,8 @@ figure of the paper's evaluation. Subpackages:
 - :mod:`repro.cloud` — providers, pricing, spot interruptions,
 - :mod:`repro.hardware` / :mod:`repro.models` — calibrated workloads,
 - :mod:`repro.data` — dataset specs + object-store ingress link,
-- :mod:`repro.training` — numpy autograd, SGD/LAMB,
+- :mod:`repro.training` — numpy autograd, SGD/LAMB for the
+  large-batch ablation (the simulated runs train no model),
 - :mod:`repro.hivemind` — DHT, matchmaking, Moshpit averaging, runs,
 - :mod:`repro.core` — granularity, prediction, costs, planner,
 - :mod:`repro.experiments` — experiment specs and figure regeneration.

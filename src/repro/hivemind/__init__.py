@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "EpochStats",
         "MetricSample",
         "HivemindRunConfig",
-        "NumericConfig",
         "PeerSpec",
         "RunResult",
         "run_hivemind",

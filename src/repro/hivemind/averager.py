@@ -20,9 +20,9 @@ wall time emerges from TCP windows, shared NICs and each VM's
 Hivemind serialization budget (the ``avg:<site>`` channels), and every
 byte lands in the traffic meter for the cost model.
 
-Numerically the averager computes the sample-weighted global average of
-the contributed gradient vectors, with a real compression round trip
-(FP16 by default) applied to everything that crosses the network.
+The averager models time and bytes only: each peer's payload is the
+model's parameter count under the configured codec, and a round reports
+how many samples its surviving contributions carried.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..network import Fabric
 from ..simulation import Environment, Event, Interrupt
 from ..telemetry import NULL_TELEMETRY
-from .compression import compress, compressed_nbytes, decompress
+from .compression import compressed_nbytes
 from .matchmaking import MAX_EXCHANGE_STREAMS, GroupPlan
 
 __all__ = ["MoshpitAverager", "AveragingResult", "Contribution",
@@ -48,15 +46,12 @@ class Contribution:
 
     site: str
     sample_count: int
-    #: Weighted gradient sum (sum over samples); None for timing-only runs.
-    weighted_sum: Optional[np.ndarray] = None
 
 
 @dataclass
 class AveragingResult:
     """Outcome of one averaging round."""
 
-    average: Optional[np.ndarray]
     total_samples: int
     wall_time_s: float
     stage_times_s: dict[str, float] = field(default_factory=dict)
@@ -89,8 +84,6 @@ class MoshpitAverager:
         self.fabric = fabric
         self.plan = plan
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.parameter_count = parameter_count
-        self.codec = codec
         self.payload_bytes = compressed_nbytes(parameter_count, codec)
         #: ``FaultTolerance`` policy; ``None`` keeps the legacy
         #: all-or-nothing round (no deadline, no retries).
@@ -190,7 +183,7 @@ class MoshpitAverager:
                                 "Averaging rounds degraded to a partial "
                                 "average").inc()
                 return AveragingResult(
-                    average=None, total_samples=0,
+                    total_samples=0,
                     wall_time_s=env.now - start, retries=retries,
                     degraded=True, dropped_peers=tuple(dropped),
                 )
@@ -233,8 +226,6 @@ class MoshpitAverager:
                     survivors = [c for c in pool if self._liveness(c.site)]
                     dropped.extend(c.site for c in pool
                                    if not self._liveness(c.site))
-                average = (self._numeric_average(survivors)
-                           if survivors else None)
                 total = sum(c.sample_count for c in survivors)
                 if tel.enabled:
                     tel.counter("averaging_retries_total",
@@ -243,7 +234,7 @@ class MoshpitAverager:
                                 "Averaging rounds degraded to a partial "
                                 "average").inc()
                 return AveragingResult(
-                    average=average, total_samples=total,
+                    total_samples=total,
                     wall_time_s=env.now - start, retries=retries,
                     degraded=True, dropped_peers=tuple(dropped),
                 )
@@ -301,7 +292,6 @@ class MoshpitAverager:
             for done in inflight:
                 self.fabric.abort(done, reason="round-abort")
             return None
-        average = self._numeric_average(contributions)
         total = sum(c.sample_count for c in contributions)
         wall = env.now - start
         bytes_sent = self._round_bytes(groups, hub)
@@ -313,7 +303,7 @@ class MoshpitAverager:
             tel.counter("averaging_bytes_total",
                         "Bytes shipped by the averager").inc(bytes_sent)
         return AveragingResult(
-            average=average, total_samples=total, wall_time_s=wall,
+            total_samples=total, wall_time_s=wall,
             stage_times_s=stage_times, bytes_sent=bytes_sent,
         )
 
@@ -432,41 +422,3 @@ class MoshpitAverager:
             if len(groups) > 1 and group != hub:
                 total += 2.0 * self.payload_bytes  # gather + scatter
         return total
-
-    def _numeric_average(
-        self, contributions: list[Contribution]
-    ) -> Optional[np.ndarray]:
-        vectors = [c for c in contributions if c.weighted_sum is not None]
-        if not vectors:
-            return None
-        total_samples = sum(c.sample_count for c in vectors)
-        if total_samples == 0:
-            raise ValueError("numeric averaging needs sample counts > 0")
-        # Everything that crosses the network is compressed; apply the
-        # codec round trip to each contribution first. The numeric
-        # vector may be smaller than the simulated payload (a proxy
-        # model standing in for the full-size one).
-        size = vectors[0].weighted_sum.size
-        wire_vectors = []
-        for contribution in vectors:
-            if contribution.weighted_sum.size != size:
-                raise ValueError("contribution vector sizes differ")
-            wire = compress(contribution.weighted_sum, self.codec)
-            wire_vectors.append(decompress(wire, self.codec, size))
-        # Run the actual distributed reduction with the plan's group
-        # structure: every peer ends up with the identical global sum.
-        from .allreduce import hierarchical_all_reduce
-
-        site_to_index = {c.site: i for i, c in enumerate(vectors)}
-        groups = []
-        for plan_group in self.plan.groups:
-            member_indices = [site_to_index[s] for s in plan_group
-                              if s in site_to_index]
-            if member_indices:
-                groups.append(member_indices)
-        assigned = {i for group in groups for i in group}
-        for index in range(len(vectors)):
-            if index not in assigned:  # peer outside the plan's groups
-                groups.append([index])
-        results, __ = hierarchical_all_reduce(wire_vectors, groups)
-        return results[0] / total_samples

@@ -3,8 +3,9 @@
 :func:`run_hivemind` wires every substrate together: the network fabric
 and topology, calibrated per-peer compute rates, matchmaking, the
 Moshpit averager, data loading from the object store, the DHT +
-monitor, and (optionally) a spot fleet with interruptions and a real
-numpy model trained with real gradients.
+monitor, and (optionally) a spot fleet with interruptions, a fault
+schedule and a control-plane policy. A run models time, bytes and cost,
+not convergence: no model weights exist inside the simulation.
 
 All of that lives on one private run object, :class:`_Run`: it owns
 the roster (who trains right now, and the one way in and out of a run)
@@ -34,7 +35,6 @@ from ..models import get_model
 from ..network import Fabric, Topology, location_of
 from ..simulation import Environment, Event, Interrupt, RandomStreams
 from ..telemetry import resolve_telemetry
-from ..training import MLP, SGD, compute_gradient, make_classification_data
 from .averager import Contribution, MoshpitAverager
 from .dht import DhtNetwork, DhtNode
 from .matchmaking import MIN_MATCHMAKING_S, form_groups, matchmaking_delay
@@ -42,7 +42,6 @@ from .monitor import PROGRESS_KEY, TrainingMonitor
 
 __all__ = [
     "PeerSpec",
-    "NumericConfig",
     "HivemindRunConfig",
     "EpochStats",
     "RunResult",
@@ -75,22 +74,6 @@ class PeerSpec:
         return mapping.get((provider, self.gpu))
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Train a real (small) numpy model inside the simulation.
-
-    The proxy model stands in numerically for the full-size model: the
-    simulated payload still uses the real parameter count, but the
-    gradients exchanged and applied are genuine.
-    """
-
-    in_features: int = 16
-    hidden: tuple[int, ...] = (32,)
-    num_classes: int = 4
-    learning_rate: float = 0.2
-    dataset_size: int = 512
-
-
 @dataclass
 class HivemindRunConfig:
     model: str
@@ -106,7 +89,6 @@ class HivemindRunConfig:
     #: additive calc + comm, so the default is False).
     overlap_communication: bool = False
     account_data_loading: bool = True
-    numeric: Optional[NumericConfig] = None
     interruption_model: Optional[InterruptionModel] = None
     startup_s: float = 120.0
     monitor_interval_s: Optional[float] = 25.0
@@ -181,7 +163,6 @@ class EpochStats:
     wall_s: float
     samples: int
     live_peers: int
-    loss: Optional[float] = None
     #: Averaging-round retries this epoch needed (fault-tolerant runs).
     rounds_retried: int = 0
     #: True when the epoch's round fell back to a partial average.
@@ -213,7 +194,6 @@ class RunResult:
     #: High-water mark of concurrent fabric flows during the run
     #: (reported by ``repro bench`` as a fan-out size proxy).
     peak_active_flows: int = 0
-    losses: list[float] = field(default_factory=list)
     metrics: list[MetricSample] = field(default_factory=list)
     #: The telemetry sink the run recorded into (``None`` when tracing
     #: was disabled); carries the tracer and the metrics registry.
@@ -286,41 +266,6 @@ class RunResult:
             np.mean(list(self.egress_bytes_by_site.values()))
         )
         return mean_bytes * 8.0 / self.duration_s
-
-
-class _NumericState:
-    """Per-peer real-model replicas plus a shared synthetic dataset."""
-
-    def __init__(self, config: NumericConfig, sites: list[str], seed: int):
-        rng = np.random.default_rng(seed)
-        self.features, self.labels = make_classification_data(
-            rng,
-            num_samples=config.dataset_size,
-            num_features=config.in_features,
-            num_classes=config.num_classes,
-        )
-        self.replicas = {}
-        self.optimizers = {}
-        for site in sites:
-            model = MLP(config.in_features, list(config.hidden),
-                        config.num_classes, rng=np.random.default_rng(seed + 1))
-            self.replicas[site] = model
-            self.optimizers[site] = SGD(model.parameters(),
-                                        lr=config.learning_rate)
-        self.rng = rng
-
-    def gradient_for(self, site: str, num_samples: int):
-        count = max(min(num_samples, len(self.features)), 1)
-        index = self.rng.integers(0, len(self.features), size=count)
-        gradient, loss = compute_gradient(
-            self.replicas[site], self.features[index], self.labels[index]
-        )
-        return gradient * count, count, loss
-
-    def apply(self, sites: list[str], average: np.ndarray) -> None:
-        for site in sites:
-            self.replicas[site].load_grad_vector(average)
-            self.optimizers[site].step()
 
 
 class _UptimeLedger:
@@ -436,9 +381,6 @@ class _Run:
             zone_correlation=config.zone_correlation,
             zone_of=lambda s: topology.get(s).zone,
         ) if needs_fleet else None
-
-        self.numeric = (_NumericState(config.numeric, all_sites, config.seed)
-                        if config.numeric is not None else None)
 
         # -- DHT --------------------------------------------------------------
         dht_network = self.dht_network = DhtNetwork(
@@ -687,20 +629,10 @@ class _Run:
 
             live = [site for site, count in contributed.items() if count > 0]
             contributions = []
-            loss_values = []
             for site in live:
                 count = int(round(contributed[site]))
-                if count <= 0:
-                    continue
-                weighted = None
-                if self.numeric is not None:
-                    weighted, count, loss = self.numeric.gradient_for(
-                        site, count
-                    )
-                    loss_values.append(loss)
-                contributions.append(
-                    Contribution(site, count, weighted_sum=weighted)
-                )
+                if count > 0:
+                    contributions.append(Contribution(site, count))
 
             self._phase_spans(epoch, live, "calc", epoch_start,
                               matchmaking_start)
@@ -719,7 +651,6 @@ class _Run:
                 wall_s=0.0,
                 samples=int(sum(contributed.values())),
                 live_peers=len(live),
-                loss=float(np.mean(loss_values)) if loss_values else None,
             )
             in_flight = (stats, live, env.now,
                          env.process(self.averager.run_round(contributions)))
@@ -749,14 +680,12 @@ class _Run:
 
     def _land(self, stats: EpochStats, live: list[str], started_s: float,
               round_process):
-        """Wait for an averaging round, apply its average, and book its
-        transfer time, retries and surviving samples on ``stats``, the
-        epoch that launched it."""
+        """Wait for an averaging round and book its transfer time,
+        retries and surviving samples on ``stats``, the epoch that
+        launched it."""
         result = yield round_process
         self._phase_spans(stats.index, live, "transfer", started_s,
                           self.env.now)
-        if self.numeric is not None and result.average is not None:
-            self.numeric.apply(live, result.average)
         stats.transfer_s = result.wall_time_s
         stats.rounds_retried = result.retries
         stats.degraded = result.degraded
@@ -850,7 +779,6 @@ class _Run:
             interruptions=fleet.total_interruptions if fleet is not None else 0,
             peak_active_flows=fabric.peak_active_flows,
             state_syncs=self.state_syncs,
-            losses=[e.loss for e in self.epochs if e.loss is not None],
             metrics=self.metric_samples,
             telemetry=self.tel if self.tracing else None,
             rounds_retried=sum(e.rounds_retried for e in self.epochs),

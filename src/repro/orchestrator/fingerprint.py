@@ -14,7 +14,6 @@ lists/tuples, string-keyed dicts and a small registry of revivable
 dataclasses (:class:`~repro.faults.FaultSchedule`,
 :class:`~repro.faults.FaultTolerance`,
 :class:`~repro.cloud.InterruptionModel`,
-:class:`~repro.hivemind.NumericConfig`,
 :class:`~repro.hivemind.PeerSpec`,
 :class:`~repro.cloud.SpotPriceModel` and the control-plane policies)
 are accepted. Anything else —
@@ -55,7 +54,9 @@ __all__ = [
 #: carry ``bytes_by_tag``.
 #: v4: DHT RPCs are fixed-delay messages, not fabric flows, so runs
 #: with a DHT time their matchmaking and meter their aborts differently.
-FINGERPRINT_VERSION = 4
+#: v5: run payloads lost ``losses`` and each epoch its ``loss`` (the
+#: numeric training path is gone), so older records cannot be revived.
+FINGERPRINT_VERSION = 5
 
 _KIND = "__kind__"
 _VALUE = "__value__"
@@ -79,7 +80,7 @@ def _revivable_classes() -> dict[str, Any]:
         TbsPolicy,
     )
     from ..faults import FaultSchedule, FaultTolerance
-    from ..hivemind import NumericConfig, PeerSpec
+    from ..hivemind import PeerSpec
 
     return {
         "AdaptivePolicy": AdaptivePolicy,
@@ -87,7 +88,6 @@ def _revivable_classes() -> dict[str, Any]:
         "FaultTolerance": FaultTolerance,
         "InterruptionModel": InterruptionModel,
         "MigrationPolicy": MigrationPolicy,
-        "NumericConfig": NumericConfig,
         "PeerSpec": PeerSpec,
         "ScalingPolicy": ScalingPolicy,
         "SpotPriceModel": SpotPriceModel,

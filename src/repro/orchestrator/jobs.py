@@ -293,7 +293,6 @@ def _run_to_payload(run) -> dict:
             for (src, dst), nbytes in run.egress_bytes_by_pair.items()
         ],
         "data_ingress_bytes_by_site": dict(run.data_ingress_bytes_by_site),
-        "losses": list(run.losses),
         "metrics": [asdict(sample) for sample in run.metrics],
         "fault_counts": dict(run.fault_counts),
         "uptime_intervals_by_site": {
@@ -353,7 +352,6 @@ def _run_from_payload(job: ExperimentJob, payload: dict):
         data_ingress_bytes_by_site=dict(
             payload["data_ingress_bytes_by_site"]
         ),
-        losses=list(payload["losses"]),
         metrics=[MetricSample(**sample) for sample in payload["metrics"]],
         fault_counts=dict(payload["fault_counts"]),
         telemetry=None,

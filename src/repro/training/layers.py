@@ -31,11 +31,8 @@ class Module:
         for parameter in self.parameters():
             parameter.zero_grad()
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def state_vector(self) -> np.ndarray:
-        """All parameters flattened into one vector (for averaging)."""
+        """All parameters flattened into one vector."""
         if not self.parameters():
             return np.zeros(0)
         return np.concatenate([p.data.ravel() for p in self.parameters()])

@@ -3,8 +3,9 @@
 The paper's single-GPU baseline reaches large target batch sizes
 through gradient accumulation (Section 3); :class:`GradientAccumulator`
 implements exactly that, and :class:`LocalTrainer` runs the resulting
-optimizer loop. These are the numerical building blocks the Hivemind
-peers reuse.
+optimizer loop. They back the Section 3 ablation that checks LAMB makes
+the paper's batch sizes trainable; the simulated Hivemind runs model
+time and bytes only and train no model.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class GradientAccumulator:
         if self.accumulated_samples == 0:
             raise RuntimeError("no gradients accumulated")
         return self._sum / self.accumulated_samples
-
-    def weighted_sum(self) -> tuple[np.ndarray, int]:
-        """Raw (sum, count) pair — the quantity peers exchange."""
-        return self._sum.copy(), self.accumulated_samples
 
     def reset(self) -> None:
         self._sum[:] = 0.0

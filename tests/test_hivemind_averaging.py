@@ -149,66 +149,3 @@ class TestAveragerTiming:
         result, __, __ = run_round({"gc:us": 4}, 1_000_000,
                                    contributions_of=drop_one)
         assert result.total_samples == 300
-
-
-class TestAveragerNumerics:
-    def test_average_is_sample_weighted(self):
-        def contribs(sites):
-            return [
-                Contribution(sites[0], 1, weighted_sum=np.array([2.0])),
-                Contribution(sites[1], 3, weighted_sum=np.array([12.0])),
-            ]
-
-        result, __, __ = run_round({"gc:us": 2}, 1, contributions_of=contribs,
-                                   codec="fp32")
-        # (2 + 12) / (1 + 3) = 3.5
-        np.testing.assert_allclose(result.average, [3.5], rtol=1e-6)
-
-    def test_fp16_codec_rounds_values(self):
-        def contribs(sites):
-            precise = np.array([1.0001])
-            return [Contribution(sites[0], 1, weighted_sum=precise),
-                    Contribution(sites[1], 1, weighted_sum=precise)]
-
-        result, __, __ = run_round({"gc:us": 2}, 1, contributions_of=contribs,
-                                   codec="fp16")
-        assert result.average[0] == pytest.approx(1.0001, rel=1e-3)
-        assert result.average[0] != 1.0001  # fp16 rounding is visible
-
-    def test_decentralized_average_equals_centralized_gradient(self):
-        """The paper's core equivalence: peers averaging their
-        accumulated gradients compute the same update as one worker
-        seeing the union batch."""
-        from repro.training import MLP, compute_gradient, make_classification_data
-
-        rng = np.random.default_rng(0)
-        features, labels = make_classification_data(rng, num_samples=60)
-        model = MLP(16, [8], 4, rng=np.random.default_rng(1))
-
-        def contribs(sites):
-            out = []
-            shares = [(0, 20), (20, 40), (40, 60)]
-            for site, (lo, hi) in zip(sites, shares):
-                grad, __ = compute_gradient(model, features[lo:hi],
-                                            labels[lo:hi])
-                out.append(Contribution(site, hi - lo,
-                                        weighted_sum=grad * (hi - lo)))
-            return out
-
-        result, __, __ = run_round({"gc:us": 3}, 100,
-                                   contributions_of=contribs, codec="fp32")
-        union_grad, __ = compute_gradient(model, features, labels)
-        np.testing.assert_allclose(result.average, union_grad, rtol=1e-5,
-                                   atol=1e-7)
-
-    def test_mismatched_vector_sizes_rejected(self):
-        def contribs(sites):
-            return [Contribution(sites[0], 1, weighted_sum=np.zeros(3)),
-                    Contribution(sites[1], 1, weighted_sum=np.zeros(4))]
-
-        with pytest.raises(ValueError, match="sizes differ"):
-            run_round({"gc:us": 2}, 10, contributions_of=contribs)
-
-    def test_timing_only_round_has_no_average(self):
-        result, __, __ = run_round({"gc:us": 2}, 1_000_000)
-        assert result.average is None

@@ -66,7 +66,7 @@ PUBLIC_NAMES = {
     "repro.hivemind": """
         AveragingResult CODECS Contribution DhtNetwork DhtNode EpochStats
         GroupPlan HivemindRunConfig MIN_MATCHMAKING_S MetricSample
-        MonitorSample MoshpitAverager NumericConfig PROGRESS_KEY PeerSpec
+        MonitorSample MoshpitAverager PROGRESS_KEY PeerSpec
         RunResult TrainingMonitor compress compressed_nbytes decompress
         form_groups matchmaking_delay node_id_for run_hivemind
         xor_distance
@@ -202,6 +202,20 @@ def test_fabric_transfer_loads_no_numpy():
     )
     assert "repro.network.fabric" in modules
     assert "numpy" not in modules
+
+
+def test_a_run_loads_no_training_package():
+    """Simulated runs model time and bytes; nothing trains a model."""
+    modules = _loaded(
+        "from repro.hivemind import HivemindRunConfig, PeerSpec, run_hivemind\n"
+        "from repro.network import build_topology\n"
+        "topology = build_topology({'gc:us': 1, 'gc:eu': 1})\n"
+        "peers = [PeerSpec(site, 't4') for site in topology.sites]\n"
+        "run_hivemind(HivemindRunConfig('conv', peers, topology, epochs=2))"
+    )
+    assert "repro.hivemind.run" in modules
+    assert "repro.training" not in modules
+    assert "repro.hivemind.allreduce" not in modules
 
 
 def test_granularity_stays_the_function_after_submodule_imports():

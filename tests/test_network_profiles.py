@@ -1,5 +1,8 @@
 """Tests that the built-in topologies reproduce the paper's matrices."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.network import (
@@ -162,3 +165,36 @@ def test_profile_matrix_single_site_location_uses_nic():
     assert result.bandwidth_bps[("gc:us", "gc:us")] / GBPS == pytest.approx(
         6.91, rel=0.01)
     assert result.rtt_ms("gc:us", "gc:us") == 0.0
+
+
+class TestProbeTeardown:
+    @pytest.mark.parametrize("probe", ["bandwidth", "rtt", "matrix"])
+    def test_probes_are_freed_without_the_collector(self, monkeypatch, probe):
+        """Every environment and fabric a probe builds is freed by
+        reference counting once the probe has its number."""
+        from repro.network import profiler
+
+        refs = []
+
+        class WatchedFabric(profiler.Fabric):
+            def __init__(self, env, topology):
+                super().__init__(env, topology)
+                refs.extend((weakref.ref(self), weakref.ref(env)))
+
+        monkeypatch.setattr(profiler, "Fabric", WatchedFabric)
+        topo = build_topology({"gc:us": 2, "gc:eu": 1})
+        gc.collect()
+        gc.disable()
+        try:
+            if probe == "bandwidth":
+                measure_bandwidth_bps(topo, "gc:us/0", "gc:eu/0", nbytes=1e8,
+                                      runs=3)
+            elif probe == "rtt":
+                measure_rtt_s(topo, "gc:us/0", "gc:eu/0")
+            else:
+                profile_matrix(topo, {"gc:us": "gc:us/0", "gc:eu": "gc:eu/0"},
+                               nbytes=1e8)
+            assert refs
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

@@ -30,7 +30,7 @@ class TestLayers:
     def test_mlp_parameter_count(self):
         mlp = MLP(8, [16], 4)
         # (8*16 + 16) + (16*4 + 4)
-        assert mlp.parameter_count() == 8 * 16 + 16 + 16 * 4 + 4
+        assert mlp.state_vector().size == 8 * 16 + 16 + 16 * 4 + 4
 
     def test_grad_vector_zeros_when_no_grads(self):
         mlp = MLP(3, [5], 2)
