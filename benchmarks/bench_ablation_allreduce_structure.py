@@ -15,7 +15,8 @@ group-based averaging.
 from repro.cloud import PRICING
 from repro.hivemind import Contribution, GroupPlan, MoshpitAverager, form_groups
 from repro.models import get_model
-from repro.network import Fabric, TrafficClass, build_topology
+from repro.network import Fabric, TrafficClass, build_topology, classify_traffic
+from repro.network.fabric import sum_traffic
 from repro.simulation import Environment
 
 
@@ -33,7 +34,12 @@ def run_structure(plan_builder):
     )
     contributions = [Contribution(site, 4096) for site in sites]
     result = env.run(env.process(averager.run_round(contributions)))
-    return result, fabric.meter
+    sites = topology.sites
+    by_class = sum_traffic(
+        fabric.meter.table,
+        lambda key: classify_traffic(sites[key[0]], sites[key[1]]),
+    )
+    return result, by_class
 
 
 def hierarchical(topology, sites):
@@ -44,7 +50,7 @@ def flat(topology, sites):
     return GroupPlan(groups=(tuple(sites),), hub_index=0)
 
 
-def round_cost_usd(meter):
+def round_cost_usd(by_class):
     """Price one averaging round's traffic at GC's Table 1 rates."""
     gc = PRICING["gc"]
     price = {
@@ -55,7 +61,7 @@ def round_cost_usd(meter):
         TrafficClass.TO_OCEANIA: gc.any_oce_per_gb,
     }
     return sum(nbytes / 1e9 * price[klass]
-               for klass, nbytes in meter.by_class.items())
+               for klass, nbytes in by_class.items())
 
 
 def test_ablation_allreduce_structure(benchmark):
@@ -64,16 +70,16 @@ def test_ablation_allreduce_structure(benchmark):
                  "flat": run_structure(flat)},
         rounds=1, iterations=1,
     )
-    hier, hier_meter = results["hierarchical"]
-    flat_, flat_meter = results["flat"]
-    hier_cost = round_cost_usd(hier_meter)
-    flat_cost = round_cost_usd(flat_meter)
+    hier, hier_bytes = results["hierarchical"]
+    flat_, flat_bytes = results["flat"]
+    hier_cost = round_cost_usd(hier_bytes)
+    flat_cost = round_cost_usd(flat_bytes)
     print()
-    for name, result, meter, cost in (
-        ("hierarchical", hier, hier_meter, hier_cost),
-        ("flat N-to-N ", flat_, flat_meter, flat_cost),
+    for name, result, by_class, cost in (
+        ("hierarchical", hier, hier_bytes, hier_cost),
+        ("flat N-to-N ", flat_, flat_bytes, flat_cost),
     ):
-        oce_gb = meter.by_class.get(TrafficClass.TO_OCEANIA, 0.0) / 1e9
+        oce_gb = by_class.get(TrafficClass.TO_OCEANIA, 0.0) / 1e9
         print(f"{name}: {result.wall_time_s:.1f}s/round, "
               f"{result.bytes_sent / 1e9:.2f} GB moved, "
               f"{oce_gb:.2f} GB to/from Oceania, ${cost:.3f}/round on GC")
@@ -81,8 +87,8 @@ def test_ablation_allreduce_structure(benchmark):
     # Same logical outcome.
     assert hier.total_samples == flat_.total_samples == 8 * 4096
     # The hierarchy sends fewer bytes over the $0.15/GB Oceania links...
-    hier_oce = hier_meter.by_class.get(TrafficClass.TO_OCEANIA, 0.0)
-    flat_oce = flat_meter.by_class.get(TrafficClass.TO_OCEANIA, 0.0)
+    hier_oce = hier_bytes.get(TrafficClass.TO_OCEANIA, 0.0)
+    flat_oce = flat_bytes.get(TrafficClass.TO_OCEANIA, 0.0)
     assert hier_oce < 0.8 * flat_oce
     # ...and is cheaper per round under GC pricing.
     assert hier_cost < flat_cost

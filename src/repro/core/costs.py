@@ -27,7 +27,7 @@ from ..cloud import (
     integrate_price_usd,
 )
 from ..hivemind.run import RunResult
-from ..network import Topology, location_of
+from ..network import location_of
 
 __all__ = [
     "VmCost",
@@ -99,32 +99,29 @@ class CostReport:
         return self.total_usd / (self.total_samples / 1e6)
 
 
-def cost_report(
-    result: RunResult,
-    topology: Optional[Topology] = None,
-    spot: bool = True,
-) -> CostReport:
+def cost_report(result: RunResult, spot: bool = True) -> CostReport:
     """Price a simulated run bottom-up from its metered traffic."""
-    topology = topology or result.config.topology
+    config = result.config
+    sites = config.topology.sites
     duration_h = result.duration_s / 3600.0
     internal: dict[str, float] = {}
     external: dict[str, float] = {}
     for (src_name, dst_name), nbytes in result.egress_bytes_by_pair.items():
-        src = topology.get(src_name)
-        dst = topology.get(dst_name)
+        src, dst = sites[src_name], sites[dst_name]
         usd = nbytes / _GB * egress_price_per_gb(src, dst)
+        # Same continent and provider (classify_traffic ignores providers).
         if src.continent == dst.continent and src.provider == dst.provider:
             internal[src_name] = internal.get(src_name, 0.0) + usd
         else:
             external[src_name] = external.get(src_name, 0.0) + usd
 
-    price_models = getattr(result.config, "price_models", None) or {}
-    uptime = getattr(result, "uptime_intervals_by_site", None) or {}
-    standby = tuple(getattr(result.config, "standby_peers", ()) or ())
+    price_models = config.price_models or {}
+    uptime = result.uptime_intervals_by_site
+    standby = config.standby_peers
 
     vms = []
     hours = max(duration_h, 1e-12)
-    for index, peer in enumerate(list(result.config.peers) + list(standby)):
+    for index, peer in enumerate([*config.peers, *standby]):
         instance = get_instance_type(peer.instance_key or "gc-t4")
         data_bytes = result.data_ingress_bytes_by_site.get(peer.site, 0.0)
         model = price_models.get(location_of(peer.site)) if spot else None
@@ -134,14 +131,14 @@ def cost_report(
             # never-activated spares ran (and cost) nothing.
             default = (
                 [(0.0, result.duration_s)]
-                if index < len(result.config.peers) else []
+                if index < len(config.peers) else []
             )
             intervals = uptime.get(peer.site, default)
         else:
             intervals = [(0.0, result.duration_s)]
         if model is not None:
-            # Satellite 1: integrate the diurnal spot price over the
-            # VM's uptime instead of charging a flat hourly rate.
+            # Integrate the diurnal spot price over the VM's uptime
+            # instead of charging a flat hourly rate.
             instance_per_h = integrate_price_usd(model, intervals) / hours
         elif intervals == [(0.0, result.duration_s)]:
             instance_per_h = instance.price_per_hour(spot=spot)

@@ -543,8 +543,9 @@ def figure11(epochs: int = 3) -> Report:
     fractions = call_fractions(["US", "EU", "ASIA", "AUS"], [2, 2, 2, 2])
     for result in results[-len(_TASKS):]:
         run = result.run
+        by_site = run.egress_bytes_by_site
         egress_gb_per_vm_h = (
-            sum(run.egress_bytes_by_site.values()) / len(run.egress_bytes_by_site)
+            sum(by_site.values()) / len(by_site)
             / 1e9 / (run.duration_s / 3600.0)
         )
         for provider in ("gc", "aws", "azure"):

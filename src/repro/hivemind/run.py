@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,8 @@ from ..data import StoreLink, get_dataset
 from ..faults import FaultInjector, FaultSchedule, FaultTolerance
 from ..hardware import get_gpu, local_sps
 from ..models import get_model
-from ..network import Fabric, Topology, location_of
+from ..network import Fabric, Topology, classify_traffic, location_of
+from ..network.fabric import sum_traffic
 from ..simulation import Environment, Event, Interrupt, RandomStreams
 from ..telemetry import resolve_telemetry
 from .averager import Contribution, MoshpitAverager
@@ -182,11 +184,10 @@ class RunResult:
     config: HivemindRunConfig
     epochs: list[EpochStats]
     duration_s: float
-    egress_bytes_by_class: dict[str, float]
-    egress_bytes_by_site: dict[str, float]
-    egress_bytes_by_pair: dict[tuple[str, str], float]
-    #: Bytes the averager's ``tag="averaging"`` flows delivered.
-    averaging_bytes: float
+    #: The fabric meter's table: delivered bytes by (source site,
+    #: destination site, tag), where the tag is "averaging", "dht",
+    #: "sync" or "data" (untagged). Every egress view is derived from it.
+    traffic: dict[tuple[str, str, str], float]
     data_ingress_bytes_by_site: dict[str, float]
     monitor_samples: int = 0
     interruptions: int = 0
@@ -219,10 +220,25 @@ class RunResult:
     decisions: list = field(default_factory=list)
     #: Applied control actions by kind ("migrate", "scale_up", ...).
     control_actions: dict[str, int] = field(default_factory=dict)
-    #: Metered bytes by transfer tag ("averaging", "dht", "sync", and
-    #: "data" for untagged flows); sums, up to rounding, to the egress
-    #: totals.
-    bytes_by_tag: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def egress_bytes_by_class(self) -> dict[str, float]:
+        """Metered bytes by traffic class (Table 1 egress tiers)."""
+        sites = self.config.topology.sites
+        return sum_traffic(
+            self.traffic,
+            lambda key: classify_traffic(sites[key[0]], sites[key[1]]),
+        )
+
+    @property
+    def egress_bytes_by_site(self) -> dict[str, float]:
+        """Metered bytes by the site they left."""
+        return sum_traffic(self.traffic, itemgetter(0))
+
+    @property
+    def egress_bytes_by_pair(self) -> dict[tuple[str, str], float]:
+        """Metered bytes by (source, destination) site pair."""
+        return sum_traffic(self.traffic, itemgetter(0, 1))
 
     @property
     def total_samples(self) -> int:
@@ -260,11 +276,10 @@ class RunResult:
 
     def average_egress_rate_bps(self) -> float:
         """Mean per-site averaging egress rate over the whole run."""
-        if self.duration_s <= 0 or not self.egress_bytes_by_site:
+        by_site = self.egress_bytes_by_site
+        if self.duration_s <= 0 or not by_site:
             return 0.0
-        mean_bytes = float(
-            np.mean(list(self.egress_bytes_by_site.values()))
-        )
+        mean_bytes = float(np.mean(list(by_site.values())))
         return mean_bytes * 8.0 / self.duration_s
 
 
@@ -759,18 +774,14 @@ class _Run:
             return
 
     def _result(self, duration_s: float) -> RunResult:
-        fabric, meter = self.fabric, self.fabric.meter
+        fabric = self.fabric
         controller, injector = self.controller, self.injector
         monitor, fleet = self.monitor, self.fleet
         return RunResult(
             config=self.config,
             epochs=self.epochs,
             duration_s=duration_s,
-            egress_bytes_by_class=dict(meter.by_class),
-            egress_bytes_by_site=dict(meter.egress_by_site),
-            egress_bytes_by_pair=dict(meter.by_pair),
-            averaging_bytes=meter.by_tag.get("averaging", 0.0),
-            bytes_by_tag=dict(meter.by_tag),
+            traffic=fabric.meter.table,
             data_ingress_bytes_by_site={
                 site: link.ingress_bytes
                 for site, link in self.links.items()

@@ -103,18 +103,18 @@ flight does not retime it. :meth:`Message.cancel` withdraws it before
 delivery (a timed-out RPC); that is not an abort.
 
 Every completed transfer and delivered message is recorded in a
-:class:`TrafficMeter` so the cost model can later price egress per
-traffic class, and so a run can say which bytes were averaging, DHT or
-state-sync traffic. An aborted flow meters the bytes it delivered; a
-cancelled message meters nothing.
+:class:`TrafficMeter`, one table of bytes by (source, destination,
+tag), so the cost model can later price egress per site pair, and so a
+run can say which bytes were averaging, DHT or state-sync traffic. An
+aborted flow meters the bytes it delivered; a cancelled message meters
+nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..simulation import Environment, Event
 from ..simulation.engine import _PENDING
@@ -314,46 +314,40 @@ class Message(Event):
         super()._run_callbacks()
 
 
+def sum_traffic(table: dict, key: Callable[[tuple[str, str, str]], Any]) -> dict:
+    """Sum a traffic table's bytes by ``key((src, dst, tag))``, in the
+    table's order: the one way every view of the metered bytes (by
+    pair, source site, traffic class or tag) is derived."""
+    sums: dict = {}
+    for entry, nbytes in table.items():
+        group = key(entry)
+        sums[group] = sums.get(group, 0.0) + nbytes
+    return sums
+
+
 class TrafficMeter:
-    """Accumulates transferred bytes per site pair, traffic class and
-    tag. Billing reads the pair, class and site totals, which cover
-    every tag; ``by_tag`` says what the bytes were for."""
+    """Delivered bytes in one table keyed by ``(src name, dst name,
+    tag)``; an untagged transfer counts as ``"data"``, as in the
+    telemetry labels. Billing and every per-pair, per-site, per-class
+    or per-tag view sum it through :func:`sum_traffic`."""
+
+    __slots__ = ("table",)
 
     def __init__(self):
-        self.by_pair: dict[tuple[str, str], float] = defaultdict(float)
-        self.by_class: dict[str, float] = defaultdict(float)
-        #: Egress bytes leaving each site, keyed by site name.
-        self.egress_by_site: dict[str, float] = defaultdict(float)
-        #: Bytes by the transfer's tag ("averaging", "dht", "sync", ...);
-        #: untagged transfers count as "data", as in the telemetry labels.
-        self.by_tag: dict[str, float] = defaultdict(float)
-        # Traffic classification is a pure function of the (immutable)
-        # site pair; memoised because record() runs once per transfer.
-        self._class_memo: dict[tuple[str, str], str] = {}
+        self.table: dict[tuple[str, str, str], float] = {}
 
     def record(
         self, src: Site, dst: Site, nbytes: float, tag: Optional[str] = None
     ) -> None:
         if nbytes <= 0:
             return
-        pair = (src.name, dst.name)
-        self.by_pair[pair] += nbytes
-        klass = self._class_memo.get(pair)
-        if klass is None:
-            klass = self._class_memo[pair] = classify_traffic(src, dst)
-        self.by_class[klass] += nbytes
-        self.egress_by_site[src.name] += nbytes
-        self.by_tag[tag or "data"] += nbytes
+        key = (src.name, dst.name, tag or "data")
+        table = self.table
+        table[key] = table.get(key, 0.0) + nbytes
 
     @property
     def total_bytes(self) -> float:
-        return sum(self.by_pair.values())
-
-    def reset(self) -> None:
-        self.by_pair.clear()
-        self.by_class.clear()
-        self.egress_by_site.clear()
-        self.by_tag.clear()
+        return sum(self.table.values())
 
 
 def _path_rid(a: str, b: str) -> str:

@@ -92,16 +92,18 @@ def build_topology(counts: dict[str, int]) -> Topology:
     site pair spanning those groups.
     """
     topology = Topology()
+    groups = []
     for location, count in counts.items():
         if location not in LOCATIONS:
             raise KeyError(
                 f"unknown location {location!r}; known: {sorted(LOCATIONS)}"
             )
         spec = LOCATIONS[location]
-        for index in range(count):
+        names = [f"{location}/{index}" for index in range(count)]
+        for name in names:
             topology.add_site(
                 Site(
-                    name=f"{location}/{index}",
+                    name=name,
                     provider=spec.provider,
                     zone=spec.zone,
                     region=spec.region,
@@ -110,14 +112,15 @@ def build_topology(counts: dict[str, int]) -> Topology:
                     nic_bps=spec.nic_bps,
                 )
             )
-    names = list(topology.sites)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            key = frozenset((location_of(a), location_of(b)))
-            if len(key) == 2 and key in PATH_OVERRIDES:
-                capacity, rtt, window = PATH_OVERRIDES[key]
-                topology.set_path(a, b, capacity_bps=capacity, rtt_s=rtt,
-                                  window_bytes=window)
+        groups.append((location, names))
+    # Each pair (a, b), b after a in site order, of two groups an override joins.
+    for position, (location, names) in enumerate(groups):
+        for a in names:
+            for other, others in groups[position + 1 :]:
+                override = PATH_OVERRIDES.get(frozenset((location, other)))
+                if override is not None:
+                    for b in others:
+                        topology.set_path(a, b, *override)
     return topology
 
 

@@ -56,7 +56,9 @@ __all__ = [
 #: with a DHT time their matchmaking and meter their aborts differently.
 #: v5: run payloads lost ``losses`` and each epoch its ``loss`` (the
 #: numeric training path is gone), so older records cannot be revived.
-FINGERPRINT_VERSION = 5
+#: v6: run payloads keep one ``traffic`` table, not per-class, per-site,
+#: per-pair and per-tag totals and ``averaging_bytes``.
+FINGERPRINT_VERSION = 6
 
 _KIND = "__kind__"
 _VALUE = "__value__"

@@ -275,23 +275,29 @@ _EXPERIMENT_SCALARS = (
 )
 
 _RUN_SCALARS = (
-    "duration_s", "averaging_bytes", "monitor_samples", "interruptions",
-    "state_syncs", "peak_active_flows", "rounds_retried", "degraded_epochs",
+    "duration_s", "monitor_samples", "interruptions", "state_syncs",
+    "peak_active_flows", "rounds_retried", "degraded_epochs",
     "transfers_aborted",
 )
+
+
+def _traffic_to_payload(traffic: dict) -> dict:
+    """``rows`` of ``[src, dst, tag, bytes]`` in table order, each name an
+    index into ``names``, so a revived table shares one string per name."""
+    index: dict[str, int] = {}
+    rows = [
+        [index.setdefault(src, len(index)), index.setdefault(dst, len(index)),
+         index.setdefault(tag, len(index)), nbytes]
+        for (src, dst, tag), nbytes in traffic.items()
+    ]
+    return {"names": list(index), "rows": rows}
 
 
 def _run_to_payload(run) -> dict:
     payload = {name: getattr(run, name) for name in _RUN_SCALARS}
     payload.update({
         "epochs": [asdict(epoch) for epoch in run.epochs],
-        "egress_bytes_by_class": dict(run.egress_bytes_by_class),
-        "egress_bytes_by_site": dict(run.egress_bytes_by_site),
-        "bytes_by_tag": dict(run.bytes_by_tag),
-        "egress_bytes_by_pair": [
-            [src, dst, nbytes]
-            for (src, dst), nbytes in run.egress_bytes_by_pair.items()
-        ],
+        "traffic": _traffic_to_payload(run.traffic),
         "data_ingress_bytes_by_site": dict(run.data_ingress_bytes_by_site),
         "metrics": [asdict(sample) for sample in run.metrics],
         "fault_counts": dict(run.fault_counts),
@@ -329,32 +335,23 @@ def _run_from_payload(job: ExperimentJob, payload: dict):
         job.key, job.model, job.target_batch_size, job.epochs,
         **job.revived_overrides(),
     )
+    names = payload["traffic"]["names"]
     return RunResult(
-        uptime_intervals_by_site={
-            site: [(start, end) for start, end in intervals]
-            for site, intervals in payload.get(
-                "uptime_intervals_by_site", {}
-            ).items()
-        },
-        decisions=[
-            Decision(**doc) for doc in payload.get("decisions", [])
-        ],
-        control_actions=dict(payload.get("control_actions", {})),
         config=config,
         epochs=[EpochStats(**epoch) for epoch in payload["epochs"]],
-        egress_bytes_by_class=dict(payload["egress_bytes_by_class"]),
-        egress_bytes_by_site=dict(payload["egress_bytes_by_site"]),
-        bytes_by_tag=dict(payload["bytes_by_tag"]),
-        egress_bytes_by_pair={
-            (src, dst): nbytes
-            for src, dst, nbytes in payload["egress_bytes_by_pair"]
+        traffic={
+            (names[src], names[dst], names[tag]): nbytes
+            for src, dst, tag, nbytes in payload["traffic"]["rows"]
         },
-        data_ingress_bytes_by_site=dict(
-            payload["data_ingress_bytes_by_site"]
-        ),
+        data_ingress_bytes_by_site=dict(payload["data_ingress_bytes_by_site"]),
         metrics=[MetricSample(**sample) for sample in payload["metrics"]],
         fault_counts=dict(payload["fault_counts"]),
-        telemetry=None,
+        uptime_intervals_by_site={
+            site: [(start, end) for start, end in intervals]
+            for site, intervals in payload["uptime_intervals_by_site"].items()
+        },
+        decisions=[Decision(**doc) for doc in payload["decisions"]],
+        control_actions=dict(payload["control_actions"]),
         **{name: payload[name] for name in _RUN_SCALARS},
     )
 

@@ -338,7 +338,7 @@ class TestAdaptiveRuns:
 
 class TestFingerprint:
     def test_version_bumped_for_control_plane(self):
-        assert FINGERPRINT_VERSION == 5
+        assert FINGERPRINT_VERSION == 6
 
     def test_policy_round_trips_canonical(self):
         policy = AdaptivePolicy()

@@ -72,7 +72,10 @@ class TestRpcMessages:
             network.rpc(nodes[0], nodes[1].node_id, "ping")
         ))
         assert response is True
-        assert fabric.meter.by_tag == {"dht": 1024.0}
+        assert fabric.meter.table == {
+            (nodes[0].site, nodes[1].site, "dht"): 512.0,
+            (nodes[1].site, nodes[0].site, "dht"): 512.0,
+        }
         assert fabric.peak_active_flows == 0 and fabric.aborted_flows == 0
         # The traced RPC span stays; the legs open none of their own.
         spans = tel.tracer.spans

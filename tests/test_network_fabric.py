@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from operator import itemgetter
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.network import (
     Site,
     Topology,
     TransferAborted,
+    classify_traffic,
 )
+from repro.network.fabric import sum_traffic
 from repro.simulation import Environment, Event, SimulationError
 from repro.telemetry import Telemetry
 
@@ -160,20 +163,24 @@ def test_traffic_meter_records_pairs_and_classes():
     fabric.transfer("a", "b", 1000.0)
     fabric.transfer("a", "b", 500.0)
     env.run()
-    assert fabric.meter.by_pair[("a", "b")] == 1500.0
+    assert fabric.meter.table == {("a", "b", "data"): 1500.0}
     assert fabric.meter.total_bytes == 1500.0
-    assert fabric.meter.egress_by_site["a"] == 1500.0
-    assert fabric.meter.by_class["intra-zone"] == 1500.0
+    by_class = sum_traffic(
+        fabric.meter.table,
+        lambda key: classify_traffic(topo.get(key[0]), topo.get(key[1])),
+    )
+    assert by_class == {"intra-zone": 1500.0}
 
 
-def test_meter_reset():
+def test_each_fabric_meters_into_its_own_table():
     topo = two_site_topology()
     env = Environment()
-    fabric = Fabric(env, topo)
-    fabric.transfer("a", "b", 1000.0)
+    first, second = Fabric(env, topo), Fabric(env, topo)
+    first.transfer("a", "b", 1000.0)
+    second.transfer("b", "a", 250.0, tag="sync")
     env.run()
-    fabric.meter.reset()
-    assert fabric.meter.total_bytes == 0
+    assert first.meter.table == {("a", "b", "data"): 1000.0}
+    assert second.meter.table == {("b", "a", "sync"): 250.0}
 
 
 def test_many_concurrent_flows_complete_and_conserve_bytes():
@@ -512,13 +519,13 @@ def test_meter_records_bytes_by_tag_including_aborted_ones():
     env.run(until=0.5)
     fabric.abort(slow)
     env.run()
-    by_tag = fabric.meter.by_tag
-    assert by_tag["averaging"] == 1000.0
-    assert by_tag["data"] == 500.0
-    assert 0 < by_tag["sync"] < 125e6
+    table = fabric.meter.table
+    assert table[("a", "b", "averaging")] == 1000.0
+    assert table[("a", "c", "data")] == 500.0
+    assert 0 < table[("b", "c", "sync")] < 125e6
+    assert len(table) == 3
+    by_tag = sum_traffic(table, itemgetter(2))
     assert sum(by_tag.values()) == fabric.meter.total_bytes
-    fabric.meter.reset()
-    assert not fabric.meter.by_tag
 
 
 def test_closed_fabric_drops_its_routes_and_refuses_transfers():
@@ -619,7 +626,7 @@ def test_abort_refuses_what_it_cannot_cancel():
     foreign = other.transfer("a", "b", 1e9)
     env.run(until=env.now + 0.5)
     assert fabric.abort(aborted)
-    meter = dict(fabric.meter.by_pair)
+    meter = dict(fabric.meter.table)
     cases = {
         "finished": finished,
         "already aborted": aborted,
@@ -630,7 +637,7 @@ def test_abort_refuses_what_it_cannot_cancel():
     for name, event in cases.items():
         assert fabric.abort(event) is False, name
     assert fabric.aborted_flows == 1 and other.aborted_flows == 0
-    assert dict(fabric.meter.by_pair) == meter
+    assert fabric.meter.table == meter
     assert foreign in other._flows and not foreign.triggered
     assert isinstance(aborted.value, TransferAborted)
     assert aborted.value.flow is aborted
@@ -722,8 +729,9 @@ def test_message_bytes_are_metered_on_delivery_by_tag():
     fabric.message("a", "c", 100.0)
     assert fabric.meter.total_bytes == 0
     env.run()
-    assert fabric.meter.by_tag == {"dht": 1024.0, "data": 100.0}
-    assert fabric.meter.by_pair[("a", "b")] == 512.0
+    assert fabric.meter.table == {("a", "b", "dht"): 512.0,
+                                  ("b", "a", "dht"): 512.0,
+                                  ("a", "c", "data"): 100.0}
     counter = tel.metrics.get("transfer_bytes_total")
     by_tag = {}
     for labels, value in counter.samples():
@@ -750,7 +758,7 @@ def test_cancelled_message_is_never_delivered_nor_metered():
     delivered = fabric.message("a", "b", 512.0, "dht")
     env.run()
     assert not delivered.cancel()
-    assert fabric.meter.by_tag == {"dht": 512.0}
+    assert fabric.meter.table == {("a", "b", "dht"): 512.0}
 
 
 def test_message_keeps_the_delay_read_when_sent():

@@ -155,8 +155,40 @@ class TestRunCache:
                                  monitor_interval_s=None)
         assert result_to_record(job, warm) == result_to_record(job, cold)
         assert warm.run.fault_counts == cold.run.fault_counts
-        assert warm.run.bytes_by_tag == cold.run.bytes_by_tag
-        assert warm.run.averaging_bytes == cold.run.bytes_by_tag["averaging"]
+        assert warm.run.traffic == cold.run.traffic
+        assert list(warm.run.traffic) == list(cold.run.traffic)
+        assert warm.run.egress_bytes_by_class == cold.run.egress_bytes_by_class
+        assert warm.run.egress_bytes_by_site == cold.run.egress_bytes_by_site
+
+    def test_payload_keeps_one_traffic_table(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        _, cold = self._warm(cache)
+        [path] = list((tmp_path / "cache" / "objects").rglob("*.json"))
+        payload = json.loads(path.read_text())["record"]["run"]
+        byte_keys = {key for key in payload
+                     if "bytes" in key or "traffic" in key}
+        # Data loading is metered by the store links, not the fabric.
+        assert byte_keys == {"traffic", "data_ingress_bytes_by_site"}
+        names = payload["traffic"]["names"]
+        assert [
+            [names[src], names[dst], names[tag], nbytes]
+            for src, dst, tag, nbytes in payload["traffic"]["rows"]
+        ] == [list(key) + [nbytes] for key, nbytes in cold.run.traffic.items()]
+        assert len(names) == len(set(names))
+
+    def test_parent_generation_record_is_a_miss(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        job = ExperimentJob.make("A-2", "conv", epochs=2,
+                                 account_data_loading=False,
+                                 monitor_interval_s=None)
+        _, cold = self._warm(RunCache(tmp_path / "scratch"))
+        parent = dict(job.fingerprint(), fingerprint_version=5)
+        cache.put(fingerprint_key(parent), parent,
+                  result_to_record(job, cold))
+        orch, _ = self._warm(cache)
+        assert cache.misses == 1 and cache.hits == 0
+        assert orch.executed == 1
+        assert sorted(entry.stale for entry in cache.ls()) == [False, True]
 
     def test_entries_are_compact_and_indented_ones_still_hit(self, tmp_path):
         cache = RunCache(tmp_path / "cache")

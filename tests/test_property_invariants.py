@@ -1,5 +1,7 @@
 """Property-based tests of cross-module invariants (hypothesis)."""
 
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,12 @@ from repro.network import (
     GBPS,
     Site,
     Topology,
+    TrafficMeter,
     build_topology,
     classify_traffic,
     multi_stream_bps,
 )
+from repro.network.fabric import sum_traffic
 from repro.simulation import Environment
 from repro.training import GradientAccumulator, MLP, compute_gradient
 
@@ -198,17 +202,16 @@ def test_property_accumulated_gradient_equals_union_batch(splits, seed):
 # --- whole training runs: accounting identities ------------------------
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    peers=st.integers(min_value=2, max_value=6),
-    locations=st.sampled_from([("gc:us",), ("gc:us", "gc:eu")]),
-    epochs=st.integers(min_value=1, max_value=4),
-    fault_seed=st.none() | st.integers(min_value=0, max_value=2 ** 16),
-    intensity=st.floats(min_value=0.5, max_value=4.0),
-    overlap=st.booleans(),
-)
-def test_property_run_accounting_identities(peers, locations, epochs,
-                                            fault_seed, intensity, overlap):
+@st.composite
+def run_configs(draw):
+    """A small run: 2-6 peers on one or two locations, 1-4 epochs, with
+    or without a fault schedule, overlap and time-varying prices."""
+    peers = draw(st.integers(min_value=2, max_value=6))
+    locations = draw(st.sampled_from([("gc:us",), ("gc:us", "gc:eu")]))
+    epochs = draw(st.integers(min_value=1, max_value=4))
+    fault_seed = draw(st.none() | st.integers(min_value=0, max_value=2 ** 16))
+    intensity = draw(st.floats(min_value=0.5, max_value=4.0))
+    overlap = draw(st.booleans())
     counts = {loc: 0 for loc in locations}
     for index in range(peers):
         counts[locations[index % len(locations)]] += 1
@@ -220,7 +223,7 @@ def test_property_run_accounting_identities(peers, locations, epochs,
             sites, seed=fault_seed, intensity=intensity, horizon_s=1800.0,
             zones={site: topology.get(site).zone for site in sites},
         )
-    config = HivemindRunConfig(
+    return HivemindRunConfig(
         model="conv", peers=[PeerSpec(site, "t4") for site in sites],
         topology=topology, target_batch_size=4096, epochs=epochs,
         overlap_communication=overlap, fault_schedule=schedule,
@@ -228,6 +231,12 @@ def test_property_run_accounting_identities(peers, locations, epochs,
         price_models=default_price_models(locations),
         monitor_interval_s=None,
     )
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=run_configs())
+def test_property_run_accounting_identities(config):
+    topology, overlap = config.topology, config.overlap_communication
     result = run_hivemind(config)
 
     total = sum(result.egress_bytes_by_pair.values())
@@ -235,8 +244,8 @@ def test_property_run_accounting_identities(peers, locations, epochs,
         total, rel=1e-12)
     assert sum(result.egress_bytes_by_site.values()) == pytest.approx(
         total, rel=1e-12)
-    assert sum(result.bytes_by_tag.values()) == pytest.approx(
-        total, rel=1e-12)
+    assert sum(sum_traffic(result.traffic, itemgetter(2)).values()) == \
+        pytest.approx(total, rel=1e-12)
 
     # Billing: every metered byte is priced exactly once, at its pair's
     # egress rate, whichever VM's internal or external line carries it.
@@ -276,6 +285,66 @@ def test_property_run_accounting_identities(peers, locations, epochs,
             assert end <= start
 
     assert run_hivemind(config) == result
+
+
+def _delivery_order_views(deliveries):
+    """Class, site, pair and tag sums accumulated one delivery at a time,
+    as a meter with one table per view would keep them."""
+    views = {"class": {}, "site": {}, "pair": {}, "tag": {}}
+    for src, dst, nbytes, tag in deliveries:
+        for view, key in (("class", classify_traffic(src, dst)),
+                          ("site", src.name),
+                          ("pair", (src.name, dst.name)),
+                          ("tag", tag or "data")):
+            views[view][key] = views[view].get(key, 0.0) + nbytes
+    return views
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=run_configs())
+def test_property_traffic_views_match_delivery_order_sums(config):
+    deliveries = []
+    record = TrafficMeter.record
+
+    def spy(meter, src, dst, nbytes, tag=None):
+        if nbytes > 0:
+            deliveries.append((src, dst, nbytes, tag))
+        record(meter, src, dst, nbytes, tag)
+
+    TrafficMeter.record = spy
+    try:
+        result = run_hivemind(config)
+    finally:
+        TrafficMeter.record = record
+
+    expected = _delivery_order_views(deliveries)
+    derived = {
+        "class": result.egress_bytes_by_class,
+        "site": result.egress_bytes_by_site,
+        "pair": result.egress_bytes_by_pair,
+        "tag": sum_traffic(result.traffic, itemgetter(2)),
+    }
+    whole = all(float(nbytes).is_integer() for _, _, nbytes, _ in deliveries)
+    # Both orders are recursive sums of the same nonnegative terms, each
+    # within (n - 1) * u of the exact sum (u = 2**-53), so they differ by
+    # at most twice that. Whole bytes sum exactly in any order.
+    bound = 0.0 if whole else 2 * (len(deliveries) - 1) * 2.0 ** -53
+    for view, sums in derived.items():
+        # Same groups, in the order of each group's first delivery.
+        assert list(sums) == list(expected[view]), view
+        # Fractional bytes (an aborted flow's, or a payload split into
+        # uneven parts) make the table's regrouped sums round differently.
+        for key, nbytes in sums.items():
+            assert nbytes == pytest.approx(expected[view][key], rel=bound,
+                                           abs=0), (view, key)
+
+    report = cost_report(result)
+    parts = sum(
+        vm.instance_per_h + vm.internal_egress_per_h
+        + vm.external_egress_per_h + vm.data_loading_per_h
+        for vm in report.vms
+    ) * report.duration_h
+    assert report.total_usd == pytest.approx(parts, rel=1e-12)
 
 
 # --- fault schedules: fuzzed runs finish and repeat --------------------
